@@ -4,8 +4,10 @@ Verbs: families, term, gcd, verify, table.  Every verb takes --json for
 machine-readable output; grid verbs emit JSON-lines, one object per line.
 Exit status is 0 only when everything asked for passed, 1 when a check or
 identity failed, and 2 for usage errors (unknown family, bad index, bad
-inline JSON).  Output is deterministic for identical invocations, including
-fixed --seed runs.  GFP_THREADS caps worker threads for table sweeps.
+inline JSON, bad GFP_THREADS).  A reader that closes the output pipe early
+ends the run with status 1 and no traceback.  Output is deterministic for
+identical invocations, including fixed --seed runs.  GFP_THREADS caps
+worker threads for table sweeps.
 """
 
 from __future__ import annotations
@@ -262,7 +264,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.max_index <= MAX_TABLE_INDEX:
         raise UsageError(f"--max-index must be in 1..{MAX_TABLE_INDEX}")
     names = TABLE_FIB_ROWS if args.which == 3 else TABLE_LUCAS_ROWS if args.which == 4 else TABLE_FIB_ROWS
-    threads = max(1, int(os.environ.get("GFP_THREADS", "1")))
+    try:
+        threads = max(1, int(os.environ.get("GFP_THREADS", "1")))
+    except ValueError:
+        raise UsageError(f"GFP_THREADS must be an integer, not {os.environ['GFP_THREADS']!r}") from None
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda name: _table_row(args.which, name, args.max_index), names))
@@ -339,4 +344,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`gfp ... | head`).  Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

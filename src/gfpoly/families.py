@@ -232,15 +232,20 @@ def random_pair(rng: random.Random, name: str, max_degree: int = 3, coeff_bound:
 
     d and g are drawn with degree at most max_degree and coefficients in
     [-coeff_bound, coeff_bound], then rejection-sampled until the pair of
-    families validates.
+    families validates.  Draws where d and g are both constants are
+    rejected too: they give integer sequences, for which the polynomial
+    theorems do not hold (d = 1, g = -2 has F[4] = F[8] = -3).
     """
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
+
     def draw() -> Poly:
         degree = rng.randint(0, max_degree)
         return Poly(rng.randint(-coeff_bound, coeff_bound) for _ in range(degree + 1))
 
     while True:
         fib = _fib(name, draw(), draw())
-        if not fib.is_valid:
+        if not fib.is_valid or (fib.d.degree == 0 and fib.g.degree == 0):
             continue
         try:
             return fib, equivalent_family(fib)

@@ -6,7 +6,10 @@ stores trailing zeros, so the zero polynomial is the empty tuple and two
 polynomials are equal exactly when their coefficient tuples are equal.
 
 The gcd here is the full Z[x] gcd: integer content is part of the answer,
-not factored away.  gcd(4x + 4, 6) is 2, not 1.
+not factored away.  gcd(4x + 4, 6) is 2, not 1.  The gcd of the primitive
+parts is the heuristic GCDHEU at an integer xi >= 2 min(|a|, |b|) + 2,
+proved by an exact-division check, with a primitive pseudo-remainder
+sequence as its fallback; see poly_gcd_z.
 """
 
 from __future__ import annotations
@@ -257,20 +260,75 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
     return Poly(quo)
 
 
-def _shifted(p: Poly, k: int) -> Poly:
-    return Poly((0,) * k + p.coeffs)
+HEU_GCD_TRIES = 6
 
 
-def _pseudo_rem(f: Poly, g: Poly) -> Poly:
-    # Remainder of lc(g)**k * f by g for some k >= 0; stays in Z[x] with no
-    # rational arithmetic.  Requires deg f >= deg g and g nonzero.
-    dg = len(g.coeffs) - 1
-    lead = g.coeffs[-1]
-    r = f
-    while not r.is_zero and len(r.coeffs) - 1 >= dg:
-        shift = len(r.coeffs) - 1 - dg
-        r = r * lead - _shifted(g * r.coeffs[-1], shift)
-    return r
+def _balanced_digits(n: int, xi: int) -> list[int]:
+    # Ascending digits of n in base xi, each in (-xi/2, xi/2].
+    half = xi // 2
+    digits = []
+    while n:
+        n, d = divmod(n, xi)
+        if d > half:
+            d -= xi
+            n += 1
+        digits.append(d)
+    return digits
+
+
+def _make_primitive(r: list[int]) -> None:
+    # Divide out the content in place and make the leading coefficient positive.
+    c = math.gcd(*r)
+    if r[-1] < 0:
+        c = -c
+    if c != 1:
+        r[:] = [x // c for x in r]
+
+
+def _heuristic_gcd(a: Poly, b: Poly) -> Poly | None:
+    """gcd of primitive a, b of positive degree by GCDHEU, or None.
+
+    At xi >= 2 min(|a|, |b|) + 2 a primitive candidate that divides both
+    inputs is their gcd (Char, Geddes & Gonnet 1989), so every answer
+    returned is exact.  None when HEU_GCD_TRIES values of xi, each larger
+    than the last, all fail; xi grows as in sympy's dup_zz_heu_gcd.
+    """
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
+    for _ in range(HEU_GCD_TRIES):
+        h = _balanced_digits(math.gcd(a.eval_at(xi), b.eval_at(xi)), xi)
+        _make_primitive(h)
+        candidate = Poly(h)
+        if exact_div(a, candidate) is not None and exact_div(b, candidate) is not None:
+            return candidate
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of primitive a, b by the primitive pseudo-remainder sequence.
+
+    Ascending int lists, both changed in place.  Each step replaces the
+    longer list by the primitive part of its pseudo-remainder: the top
+    term of lc(b) * a - a_top * x**shift * b cancels and is popped.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        db = len(b) - 1
+        lead = b[-1]
+        while len(a) > db:
+            top = a.pop()
+            shift = len(a) - db
+            if lead != 1:
+                a[:] = [x * lead for x in a]
+            for i in range(db):
+                a[shift + i] -= top * b[i]
+            while a and a[-1] == 0:
+                a.pop()
+        if a:
+            _make_primitive(a)
+        a, b = b, a
+    return a
 
 
 def poly_gcd_z(p: Poly, q: Poly) -> Poly:
@@ -278,8 +336,13 @@ def poly_gcd_z(p: Poly, q: Poly) -> Poly:
 
     Canonical representative: positive leading coefficient.  gcd(p, 0) is
     p sign-normalized and gcd(0, 0) = 0.  Computed as gcd of contents times
-    the gcd of primitive parts, the latter by a primitive pseudo-remainder
-    sequence.
+    the gcd of primitive parts.  The latter comes from the heuristic gcd
+    GCDHEU: evaluate at an integer xi >= 2 min(|a|, |b|) + 2 (max norms of
+    the primitive parts), take the integer gcd, interpolate in balanced
+    base xi, and accept the primitive candidate only when exact_div
+    divides both primitive parts by it, which at this xi proves it is the
+    gcd.  After six rejected values of xi it falls back to a primitive
+    pseudo-remainder sequence on int lists.
 
     >>> poly_gcd_z(Poly([0, 2, 0, 1]), Poly([0, 3, 0, 4, 0, 1]))
     Poly('x')
@@ -292,9 +355,9 @@ def poly_gcd_z(p: Poly, q: Poly) -> Poly:
         return p.normalized()
     c = math.gcd(p.content(), q.content())
     a, b = p.primitive_part(), q.primitive_part()
-    if len(a.coeffs) < len(b.coeffs):
-        a, b = b, a
-    while not b.is_zero:
-        r = _pseudo_rem(a, b)
-        a, b = b, (r.primitive_part() if not r.is_zero else ZERO)
-    return a * c
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return Poly([c])
+    h = _heuristic_gcd(a, b)
+    if h is None:
+        h = Poly(_prs_gcd(list(a.coeffs), list(b.coeffs)))
+    return h * c

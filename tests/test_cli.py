@@ -7,9 +7,14 @@ Exit contract: 0 all good, 1 a requested check failed, 2 usage errors.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfpoly
 from gfpoly.cli import main
 
 FIB_JSON = json.dumps({
@@ -22,6 +27,16 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def gfp_process(*argv: str, **env: str) -> subprocess.Popen:
+    """`python -m gfpoly ARGV` in a child, importing this checkout's package."""
+    src = str(Path(gfpoly.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "gfpoly", *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
 
 
 class TestFamilies:
@@ -212,6 +227,24 @@ class TestVerify:
         assert status == 0
         assert "0 failed" in out
 
+    def test_random_families_are_never_integer_sequences(self, capsys):
+        # This seed once drew d = 1, g = -2, an integer sequence on which
+        # divides-iff is false (F[4] = F[8] = -3).
+        status, out, _ = run_cli(capsys, "verify", "--families", "random:20",
+                                 "--seed", "2", "--max-index", "8")
+        assert status == 0
+        assert out.strip().splitlines()[-1].endswith(" 0 failed")
+
+    def test_closed_pipe_exits_quietly(self):
+        proc = gfp_process("verify", "--json")
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert json.loads(first)["identity_id"] == "convolution"
+        assert err == ""
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--identity", "neighbor-gcd", "--families", "random:2",
                 "--seed", "5", "--max-index", "6", "--json")
@@ -281,6 +314,13 @@ class TestTable:
         monkeypatch.setenv("GFP_THREADS", "4")
         _, threaded, _ = run_cli(capsys, *args)
         assert single == threaded
+
+    def test_bad_thread_count_is_usage_error(self):
+        proc = gfp_process("table", "3", "--max-index", "2", GFP_THREADS="abc")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.splitlines() == ["gfp: GFP_THREADS must be an integer, not 'abc'"]
 
     def test_max_index_cap(self, capsys):
         status, _, err = run_cli(capsys, "table", "3", "--max-index", "65")

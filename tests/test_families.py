@@ -343,3 +343,15 @@ class TestRandomPair:
             assert fib.d.degree <= 3 and fib.g.degree <= 3
             assert all(abs(c) <= 5 for c in fib.d.coeffs)
             assert all(abs(c) <= 5 for c in fib.g.coeffs)
+
+    def test_never_an_integer_sequence(self):
+        # Constant d and g give integer sequences, where the polynomial
+        # theorems fail: d = 1, g = -2 has F[4] = F[8] = -3.
+        rng = random.Random(2)
+        for i in range(400):
+            fib, _ = random_pair(rng, f"r{i}")
+            assert fib.d.degree > 0 or fib.g.degree > 0
+
+    def test_max_degree_zero_is_refused(self):
+        with pytest.raises(ValueError):
+            random_pair(random.Random(0), "r", max_degree=0)

@@ -4,7 +4,10 @@ exact_div is checked against an independent reference that divides over
 the rationals and then validates integrality.  poly_gcd_z is checked on
 hand-expanded products and through algebraic laws; the theorem-level
 suites elsewhere lean on it as the oracle, so it gets the heaviest
-property coverage here.
+property coverage here.  Its heuristic path is checked against a
+Poly-based primitive remainder sequence and, when sympy is installed,
+against sympy; its fallback path reruns the gcd laws with the heuristic
+switched off.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfpoly import polyring
+from gfpoly.families import BUILTIN, sequence
 from gfpoly.polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
 
 coeffs = st.lists(st.integers(-40, 40), max_size=7)
@@ -46,6 +51,35 @@ def reference_div(num: Poly, den: Poly) -> Poly | None:
     if any(q.denominator != 1 for q in quo):
         return None
     return Poly(int(q) for q in quo)
+
+
+def _pseudo_rem(f: Poly, g: Poly) -> Poly:
+    # Remainder of lc(g)**k * f by g for some k >= 0; stays in Z[x] with no
+    # rational arithmetic.  Requires deg f >= deg g and g nonzero.
+    dg = len(g.coeffs) - 1
+    lead = g.coeffs[-1]
+    r = f
+    while not r.is_zero and len(r.coeffs) - 1 >= dg:
+        shift = len(r.coeffs) - 1 - dg
+        r = r * lead - Poly((0,) * shift + (g * r.coeffs[-1]).coeffs)
+    return r
+
+
+def reference_gcd(p: Poly, q: Poly) -> Poly:
+    # Gcd of contents times the primitive PRS of the primitive parts, one
+    # new Poly per reduction step: slow, independent of polyring's gcd.
+    if p.is_zero:
+        return q.normalized()
+    if q.is_zero:
+        return p.normalized()
+    c = math.gcd(p.content(), q.content())
+    a, b = p.primitive_part(), q.primitive_part()
+    if len(a.coeffs) < len(b.coeffs):
+        a, b = b, a
+    while not b.is_zero:
+        r = _pseudo_rem(a, b)
+        a, b = b, (r.primitive_part() if not r.is_zero else ZERO)
+    return a * c
 
 
 class TestRepresentation:
@@ -246,6 +280,102 @@ class TestGcd:
     @given(st.integers(-300, 300), st.integers(-300, 300))
     def test_constants_reduce_to_integer_gcd(self, a, b):
         assert poly_gcd_z(Poly([a]), Poly([b])) == Poly([math.gcd(a, b)])
+
+
+content_factors = st.integers(-12, 12).filter(bool)
+
+
+@pytest.fixture(scope="class")
+def prs_only():
+    """poly_gcd_z with a heuristic that always fails, so the PRS answers."""
+    skipped = []
+
+    def failing(a, b):
+        skipped.append((a, b))
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_heuristic_gcd", failing)
+        yield skipped
+
+
+@pytest.mark.usefixtures("prs_only")
+class TestGcdPrsFallback:
+    """The gcd laws again, answered by the fallback PRS alone."""
+
+    def test_heuristic_is_bypassed(self, prs_only):
+        before = len(prs_only)
+        assert poly_gcd_z(Poly([-1, 0, 1]), Poly([1, 2, 1])) == Poly([1, 1])
+        assert len(prs_only) == before + 1
+
+    def test_known_values(self):
+        assert poly_gcd_z(Poly([0, 2, 0, 1]), Poly([0, 3, 0, 4, 0, 1])) == X
+        f = Poly([1, 1]) * Poly([3, 0, 2])
+        g = Poly([-2, 1]) * Poly([3, 0, 2])
+        assert poly_gcd_z(f, g) == Poly([3, 0, 2])
+        assert poly_gcd_z(Poly([1, 0, 1]), X) == ONE
+
+    @given(polys, polys)
+    def test_commutative(self, p, q):
+        assert poly_gcd_z(p, q) == poly_gcd_z(q, p)
+
+    @given(polys, polys, content_factors, content_factors)
+    def test_content_is_gcd_of_contents(self, p, q, k, m):
+        g = poly_gcd_z(p * k, q * m)
+        assert g.content() == math.gcd((p * k).content(), (q * m).content())
+
+    @settings(max_examples=60)
+    @given(polys, polys, nonzero_polys)
+    def test_common_factor_scales(self, p, q, r):
+        assert poly_gcd_z(p * r, q * r) == (poly_gcd_z(p, q) * r).normalized()
+
+    @given(st.integers(-300, 300), st.integers(-300, 300))
+    def test_constants_reduce_to_integer_gcd(self, a, b):
+        assert poly_gcd_z(Poly([a]), Poly([b])) == Poly([math.gcd(a, b)])
+
+    @given(polys, polys, nonzero_polys, content_factors, content_factors)
+    def test_products_match_reference(self, p, q, r, k, m):
+        a, b = p * r * k, q * r * m
+        assert poly_gcd_z(a, b) == reference_gcd(a, b)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestGcdDifferential:
+    """poly_gcd_z against reference_gcd and, when installed, sympy."""
+
+    @settings(max_examples=300)
+    @given(polys, polys, nonzero_polys, content_factors, content_factors)
+    def test_products_match_reference(self, p, q, r, k, m):
+        a, b = p * r * k, q * r * m
+        assert poly_gcd_z(a, b) == reference_gcd(a, b)
+
+    def test_builtin_term_grid_matches_reference(self):
+        # Every pair of the first 40 terms of every built-in family.  The
+        # reference is symmetric, so it runs once per unordered pair.
+        for family in BUILTIN.values():
+            terms = [sequence(family).term(n) for n in range(40)]
+            for m, a in enumerate(terms):
+                for n in range(m, 40):
+                    b = terms[n]
+                    expected = reference_gcd(a, b)
+                    assert poly_gcd_z(a, b) == expected, (family.name, m, n)
+                    assert poly_gcd_z(b, a) == expected, (family.name, n, m)
+
+    @settings(max_examples=200, deadline=None)  # sympy's first calls are slow
+    @given(polys, polys, nonzero_polys, content_factors, content_factors)
+    def test_products_match_sympy(self, sympy, p, q, r, k, m):
+        x = sympy.Symbol("x")
+
+        def to_sympy(f: Poly):
+            return sympy.Poly(list(reversed(f.coeffs)) or [0], x, domain=sympy.ZZ)
+
+        a, b = p * r * k, q * r * m
+        expected = to_sympy(a).gcd(to_sympy(b)).all_coeffs()
+        assert poly_gcd_z(a, b) == Poly(reversed(expected))
 
 
 class TestTextFormat:
