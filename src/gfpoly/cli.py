@@ -4,10 +4,9 @@ Verbs: families, term, gcd, verify, table.  Every verb takes --json for
 machine-readable output; grid verbs emit JSON-lines, one object per line.
 Exit status is 0 only when everything asked for passed, 1 when a check or
 identity failed, and 2 for usage errors (unknown family, bad index, bad
-inline JSON, bad GFP_THREADS).  A reader that closes the output pipe early
-ends the run with status 1 and no traceback.  Output is deterministic for
-identical invocations, including fixed --seed runs.  GFP_THREADS caps
-worker threads for table sweeps.
+inline JSON).  A reader that closes the output pipe early ends the run with
+status 1 and no traceback.  Output is deterministic for identical
+invocations, including fixed --seed runs.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 from .families import (
     BUILTIN,
@@ -30,23 +29,15 @@ from .families import (
     random_pair,
     sequence,
 )
-from .gcd_theorems import (
-    GcdCase,
-    compare,
-    gcd_fib_closed,
-    gcd_lucas_closed,
-    gcd_mixed_closed,
-    oracle_gcd,
-)
+from .gcd_theorems import GcdCase, closed_gcd, compare, oracle_gcd
 from .identities import IDENTITY_GROUPS, iter_reports
-from .polyring import Poly
+from .polyring import ONE
 
 MAX_TERM_INDEX = 10_000
 MAX_TABLE_INDEX = 64
 
-# Rows of the three reproduction tables: the six classical families.
-TABLE_FIB_ROWS = ("fibonacci", "pell", "fermat", "chebyshev2", "jacobsthal", "morgan-voyce-b")
-TABLE_LUCAS_ROWS = ("lucas", "pell-lucas-prime", "fermat-lucas", "chebyshev1", "jacobsthal-lucas", "morgan-voyce-c")
+# Rows of tables 3-5: the six classical pairs, by their Fibonacci-type member.
+TABLE_ROWS = ("fibonacci", "pell", "fermat", "chebyshev2", "jacobsthal", "morgan-voyce-b")
 
 
 class UsageError(ValueError):
@@ -111,26 +102,11 @@ def cmd_term(args: argparse.Namespace) -> int:
     return 0
 
 
-def _closed_gcd(fa: Family, fb: Family, m: int, n: int) -> tuple[Poly, GcdCase] | None:
-    """Closed form when one applies: same family, or an equivalent pair."""
-    if min(m, n) < 1:
-        return None
-    if (fa.kind, fa.d, fa.g, fa.p0, fa.p1) == (fb.kind, fb.d, fb.g, fb.p0, fb.p1):
-        if fa.kind is Kind.FIBONACCI:
-            return gcd_fib_closed(fa, m, n), GcdCase.FIB_STRONG
-        return gcd_lucas_closed(fa, m, n)
-    if fa.kind is not fb.kind and (fa.d, fa.g) == (fb.d, fb.g):
-        if fa.kind is Kind.FIBONACCI:
-            return gcd_mixed_closed(fa, fb, m, n)
-        return gcd_mixed_closed(fb, fa, n, m)
-    return None
-
-
 def cmd_gcd(args: argparse.Namespace) -> int:
     fa = _resolve_family(args.family_a)
     fb = _resolve_family(args.family_b)
     m, n = _check_index(args.m), _check_index(args.n)
-    closed = _closed_gcd(fa, fb, m, n)
+    closed = closed_gcd(fa, fb, m, n)
     data: dict = {"family_a": fa.name, "family_b": fb.name, "m": m, "n": n,
                   "case_tag": None, "closed_form": None, "oracle": None, "agrees": None}
     status = 0
@@ -181,27 +157,21 @@ def _verify_pairs(spec: str, seed: int) -> list[tuple[Family, Family]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    groups = list(IDENTITY_GROUPS) if args.identity == "all" else [args.identity]
-    for group in groups:
-        if group not in IDENTITY_GROUPS:
-            raise UsageError(f"unknown identity {group!r}; known: {', '.join(IDENTITY_GROUPS)}, all")
+    if args.identity not in (*IDENTITY_GROUPS, "all"):
+        raise UsageError(f"unknown identity {args.identity!r}; known: {', '.join(IDENTITY_GROUPS)}, all")
+    groups = IDENTITY_GROUPS if args.identity == "all" else (args.identity,)
     if args.max_index < 1:
         raise UsageError("--max-index must be positive")
     pairs = _verify_pairs(args.families, args.seed)
-    passed = failed = 0
     by_group: dict[str, list[int]] = {g: [0, 0] for g in groups}
-    for group in groups:
+    for group, tally in by_group.items():
         for fib, lucas in pairs:
             for report in iter_reports(group, fib, lucas, args.max_index):
-                bucket = by_group[group]
-                if report.passed:
-                    passed += 1
-                    bucket[0] += 1
-                else:
-                    failed += 1
-                    bucket[1] += 1
+                tally[0 if report.passed else 1] += 1
                 if args.json:
                     print(json.dumps(report.to_json()))
+    passed = sum(p for p, _ in by_group.values())
+    failed = sum(f for _, f in by_group.values())
     summary = {"passed": passed, "failed": failed,
                "groups": {g: {"passed": p, "failed": f} for g, (p, f) in by_group.items()}}
     if args.json:
@@ -214,67 +184,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _table_row(table: int, name: str, max_index: int) -> dict:
-    agree = total = 0
+    """One row of table 3 (F, F), 4 (L, L) or 5 (F, L) over the index grid."""
+    fib, lucas = BUILTIN[name], BUILTIN[PARTNER[name]]
+    fa, fb = {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[table]
+    agree = ones_seen = 0
     cases: dict[str, int] = {}
-    ones_expected = ones_seen = 0
-    if table == 3:
-        family = BUILTIN[name]
-        pair_label = name
-        for m in range(1, max_index + 1):
-            for n in range(1, max_index + 1):
-                closed = gcd_fib_closed(family, m, n)
-                report = compare(family, family, m, n, closed, GcdCase.FIB_STRONG)
-                total += 1
-                agree += report.agrees
-                cases[report.case.value] = cases.get(report.case.value, 0) + 1
-    elif table == 4:
-        family = BUILTIN[name]
-        pair_label = name
-        one = Poly([1])
-        for m in range(1, max_index + 1):
-            for n in range(1, max_index + 1):
-                closed, case = gcd_lucas_closed(family, m, n)
-                report = compare(family, family, m, n, closed, case)
-                total += 1
-                cases[case.value] = cases.get(case.value, 0) + 1
-                ok = report.agrees
-                if case is GcdCase.LUCAS_UNEQUAL_E2:
-                    ones_expected += 1
-                    ones_seen += closed == one
-                    ok = ok and closed == one
-                agree += ok
-    else:
-        fib, lucas = BUILTIN[name], BUILTIN[PARTNER[name]]
-        pair_label = f"{fib.name}/{lucas.name}"
-        for m in range(1, max_index + 1):
-            for n in range(1, max_index + 1):
-                closed, case = gcd_mixed_closed(fib, lucas, m, n)
-                report = compare(fib, lucas, m, n, closed, case)
-                total += 1
-                agree += report.agrees
-                cases[case.value] = cases.get(case.value, 0) + 1
-    row = {"table": table, "row": pair_label, "max_index": max_index,
-           "agree": agree, "total": total, "cases": cases}
+    for m, n in product(range(1, max_index + 1), repeat=2):
+        closed, case = closed_gcd(fa, fb, m, n)
+        ok = compare(fa, fb, m, n, closed, case).agrees
+        if case is GcdCase.LUCAS_UNEQUAL_E2:
+            ones_seen += closed == ONE
+            ok = ok and closed == ONE
+        agree += ok
+        cases[case.value] = cases.get(case.value, 0) + 1
+    label = fa.name if fa is fb else f"{fa.name}/{fb.name}"
+    row = {"table": table, "row": label, "max_index": max_index,
+           "agree": agree, "total": max_index * max_index, "cases": cases}
     if table == 4:
-        row["unequal_e2_equal_one"] = [ones_seen, ones_expected]
+        row["unequal_e2_equal_one"] = [ones_seen, cases.get(GcdCase.LUCAS_UNEQUAL_E2.value, 0)]
     return row
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.max_index <= MAX_TABLE_INDEX:
         raise UsageError(f"--max-index must be in 1..{MAX_TABLE_INDEX}")
-    names = TABLE_FIB_ROWS if args.which == 3 else TABLE_LUCAS_ROWS if args.which == 4 else TABLE_FIB_ROWS
-    try:
-        threads = max(1, int(os.environ.get("GFP_THREADS", "1")))
-    except ValueError:
-        raise UsageError(f"GFP_THREADS must be an integer, not {os.environ['GFP_THREADS']!r}") from None
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda name: _table_row(args.which, name, args.max_index), names))
-    else:
-        rows = [_table_row(args.which, name, args.max_index) for name in names]
     status = 0
-    for row in rows:
+    for name in TABLE_ROWS:
+        row = _table_row(args.which, name, args.max_index)
         if row["agree"] != row["total"]:
             status = 1
         if args.json:

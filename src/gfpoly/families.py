@@ -103,14 +103,38 @@ class Family:
 
     @classmethod
     def from_json(cls, data: dict) -> Family:
+        name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"family name must be a string, not {type(name).__name__}")
         return cls(
-            name=data["name"],
+            name=name,
             kind=Kind(data["kind"]),
             d=Poly.from_json(data["d"]),
             g=Poly.from_json(data["g"]),
             p0=Poly.from_json(data["p0"]),
             p1=Poly.from_json(data["p1"]),
         )
+
+
+def require_kind(family: Family, kind: Kind, who: str) -> None:
+    """Refuse a family of the wrong kind; who names the caller in the message."""
+    if family.kind is not kind:
+        raise ValueError(f"{who} needs a {kind.value}-type family, got {family.kind.value}")
+
+
+def require_pair(fib: Family, lucas: Family, who: str) -> str:
+    """Refuse anything but an equivalent (Fibonacci, Lucas) pair; returns its label."""
+    require_kind(fib, Kind.FIBONACCI, who)
+    require_kind(lucas, Kind.LUCAS, who)
+    if (fib.d, fib.g) != (lucas.d, lucas.g):
+        raise NotEquivalentError(f"{fib.name} and {lucas.name} do not share the same (d, g)")
+    return f"{fib.name}/{lucas.name}"
+
+
+def require_positive(*indices: int) -> None:
+    for i in indices:
+        if i < 1:
+            raise ValueError("indices must be positive")
 
 
 def _fib(name: str, d: Poly, g: Poly) -> Family:

@@ -9,7 +9,8 @@ Lucas-type family the answer depends on the 2-adic valuations of the
 indices: it is L[gcd(m, n)] when they agree and gcd(L[gcd(m, n)], p0),
 which is 1 or 2, when they differ.  For a mixed pair over the same (d, g)
 the Lucas term wins exactly when the Fibonacci-side index carries strictly
-more factors of two.  Every closed form is checked against oracle_gcd, a
+more factors of two.  closed_gcd picks the theorem that applies to two
+families, if any.  Every closed form is checked against oracle_gcd, a
 brute-force Z[x] gcd of the actual terms.
 """
 
@@ -19,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .families import Family, Kind, NotEquivalentError, sequence
+from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
 from .polyring import Poly, poly_gcd_z
 
 
@@ -62,36 +63,25 @@ def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _require_kind(family: Family, kind: Kind, who: str) -> None:
-    if family.kind is not kind:
-        raise ValueError(f"{who} needs a {kind.value}-type family, got {family.kind.value}")
-
-
-def _require_positive(*indices: int) -> None:
-    for i in indices:
-        if i < 1:
-            raise ValueError("indices must be positive")
-
-
 def gcd_fib_closed(family: Family, m: int, n: int) -> Poly:
     """gcd(F[m], F[n]) by strong divisibility: F[gcd(m, n)], sign-normalized."""
-    _require_kind(family, Kind.FIBONACCI, "gcd_fib_closed")
-    _require_positive(m, n)
+    require_kind(family, Kind.FIBONACCI, "gcd_fib_closed")
+    require_positive(m, n)
     return sequence(family).term(math.gcd(m, n)).normalized()
 
 
 def gcd_with_initial(family: Family, d: int) -> Poly:
     """gcd(L[d], p0): the 'otherwise' value, always the constant 1 or 2."""
-    _require_kind(family, Kind.LUCAS, "gcd_with_initial")
-    _require_positive(d)
+    require_kind(family, Kind.LUCAS, "gcd_with_initial")
+    require_positive(d)
     return poly_gcd_z(sequence(family).term(d), family.p0)
 
 
 def gcd_lucas_closed(family: Family, m: int, n: int) -> tuple[Poly, GcdCase]:
     """gcd(L[m], L[n]): L[gcd(m, n)] when the 2-adic valuations of m and n
     agree, else gcd(L[gcd(m, n)], p0)."""
-    _require_kind(family, Kind.LUCAS, "gcd_lucas_closed")
-    _require_positive(m, n)
+    require_kind(family, Kind.LUCAS, "gcd_lucas_closed")
+    require_positive(m, n)
     d = math.gcd(m, n)
     if two_adic_valuation(m) == two_adic_valuation(n):
         return sequence(family).term(d).normalized(), GcdCase.LUCAS_EQUAL_E2
@@ -102,17 +92,30 @@ def gcd_mixed_closed(fib: Family, lucas: Family, m: int, n: int) -> tuple[Poly, 
     """gcd(F[m], L[n]) for an equivalent pair: L[gcd(m, n)] when the
     Fibonacci-side index m has strictly larger 2-adic valuation, else
     gcd(L[gcd(m, n)], p0)."""
-    _require_kind(fib, Kind.FIBONACCI, "gcd_mixed_closed")
-    _require_kind(lucas, Kind.LUCAS, "gcd_mixed_closed")
-    if (fib.d, fib.g) != (lucas.d, lucas.g):
-        raise NotEquivalentError(
-            f"{fib.name} and {lucas.name} do not share the same (d, g)"
-        )
-    _require_positive(m, n)
+    require_pair(fib, lucas, "gcd_mixed_closed")
+    require_positive(m, n)
     d = math.gcd(m, n)
     if two_adic_valuation(m) > two_adic_valuation(n):
         return sequence(lucas).term(d).normalized(), GcdCase.MIXED_DOMINANT
     return gcd_with_initial(lucas, d), GcdCase.MIXED_OTHERWISE
+
+
+def closed_gcd(fa: Family, fb: Family, m: int, n: int) -> tuple[Poly, GcdCase] | None:
+    """gcd(A[m], B[n]) and its case by the theorem that applies, or None.
+
+    A theorem applies to positive indices of one family (names aside) or of
+    an equivalent pair, in either order."""
+    if min(m, n) < 1:
+        return None
+    if (fa.kind, fa.d, fa.g, fa.p0, fa.p1) == (fb.kind, fb.d, fb.g, fb.p0, fb.p1):
+        if fa.kind is Kind.FIBONACCI:
+            return gcd_fib_closed(fa, m, n), GcdCase.FIB_STRONG
+        return gcd_lucas_closed(fa, m, n)
+    if fa.kind is not fb.kind and (fa.d, fa.g) == (fb.d, fb.g):
+        if fa.kind is Kind.FIBONACCI:
+            return gcd_mixed_closed(fa, fb, m, n)
+        return gcd_mixed_closed(fb, fa, n, m)
+    return None
 
 
 def oracle_gcd(family_a: Family, family_b: Family, m: int, n: int) -> Poly:
@@ -136,7 +139,7 @@ def min_even_index(family: Family, bound: int) -> int | None:
     returned index; that periodicity turns the 'otherwise' gcd branch into a
     divisibility test on gcd(m, n).
     """
-    _require_kind(family, Kind.LUCAS, "min_even_index")
+    require_kind(family, Kind.LUCAS, "min_even_index")
     if bound < 1:
         raise ValueError("bound must be positive")
     two = Poly([2])

@@ -26,9 +26,10 @@ Checked shapes, with all indices restricted as noted:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterator
 
-from .families import Family, Kind, NotEquivalentError, sequence
+from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
 from .polyring import ONE, ZERO, Poly, exact_div, poly_gcd_z
 
 
@@ -61,21 +62,8 @@ def _equation(identity_id: str, family: str, params: tuple[int, ...],
     return IdentityReport(identity_id, family, params, lhs, rhs, lhs == rhs, witness)
 
 
-def _require_kind(family: Family, kind: Kind, who: str) -> None:
-    if family.kind is not kind:
-        raise ValueError(f"{who} needs a {kind.value}-type family, got {family.kind.value}")
-
-
-def _require_pair(fib: Family, lucas: Family, who: str) -> str:
-    _require_kind(fib, Kind.FIBONACCI, who)
-    _require_kind(lucas, Kind.LUCAS, who)
-    if (fib.d, fib.g) != (lucas.d, lucas.g):
-        raise NotEquivalentError(f"{fib.name} and {lucas.name} do not share the same (d, g)")
-    return f"{fib.name}/{lucas.name}"
-
-
 def check_convolution(family: Family, m: int, n: int) -> IdentityReport:
-    _require_kind(family, Kind.FIBONACCI, "check_convolution")
+    require_kind(family, Kind.FIBONACCI, "check_convolution")
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     f = sequence(family).term
@@ -86,7 +74,7 @@ def check_convolution(family: Family, m: int, n: int) -> IdentityReport:
 
 def check_addition_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple[IdentityReport, IdentityReport]:
     """The two shift laws expressing F[n+m] through the equivalent pair."""
-    label = _require_pair(fib, lucas, "check_addition_laws")
+    label = require_pair(fib, lucas, "check_addition_laws")
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     f, l = sequence(fib).term, sequence(lucas).term
@@ -100,7 +88,7 @@ def check_addition_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple[Ide
 
 def check_addition_cross(fib: Family, lucas: Family, m: int, n: int) -> IdentityReport:
     """Difference of the two addition laws; isolates the swing term."""
-    label = _require_pair(fib, lucas, "check_addition_cross")
+    label = require_pair(fib, lucas, "check_addition_cross")
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     f, l = sequence(fib).term, sequence(lucas).term
@@ -111,7 +99,7 @@ def check_addition_cross(fib: Family, lucas: Family, m: int, n: int) -> Identity
 
 
 def check_discriminant_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple[IdentityReport, IdentityReport]:
-    label = _require_pair(fib, lucas, "check_discriminant_laws")
+    label = require_pair(fib, lucas, "check_discriminant_laws")
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
     f, l = sequence(fib).term, sequence(lucas).term
@@ -131,7 +119,7 @@ def check_discriminant_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple
 
 
 def check_lucas_addition(lucas: Family, m: int, n: int) -> IdentityReport:
-    _require_kind(lucas, Kind.LUCAS, "check_lucas_addition")
+    require_kind(lucas, Kind.LUCAS, "check_lucas_addition")
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     l = sequence(lucas).term
@@ -149,7 +137,7 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
     (-1)^((m+1)t) g^(mt) L[r].  The quotient witness is recovered by exact
     division and re-multiplied into rhs, so pass means bit-exact equality.
     """
-    _require_kind(lucas, Kind.LUCAS, "decompose_mod_gm")
+    require_kind(lucas, Kind.LUCAS, "decompose_mod_gm")
     if m < 1 or q < 1 or r < 0:
         raise ValueError("need m >= 1, q >= 1, r >= 0")
     if r >= m:
@@ -174,7 +162,7 @@ def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
 
     The constant factor on the g-power is p0, which equals 2 / alpha.
     """
-    _require_kind(lucas, Kind.LUCAS, "decompose_pow2")
+    require_kind(lucas, Kind.LUCAS, "decompose_pow2")
     if n < 2:
         raise ValueError("need n >= 2")
     if r < 1:
@@ -196,9 +184,8 @@ def divides_iff(fib: Family, m: int, n: int) -> IdentityReport:
     is zero or a unit (anything divides by those), which happens for
     degenerate recurrences and for families whose d is the constant 1.
     """
-    _require_kind(fib, Kind.FIBONACCI, "divides_iff")
-    if m < 1 or n < 1:
-        raise ValueError("indices must be positive")
+    require_kind(fib, Kind.FIBONACCI, "divides_iff")
+    require_positive(m, n)
     f = sequence(fib).term
     num, den = f(n), f(m)
     if den.is_zero:
@@ -215,7 +202,7 @@ def divides_iff(fib: Family, m: int, n: int) -> IdentityReport:
 
 def odd_divisor_divides(lucas: Family, m: int, q: int) -> IdentityReport:
     """L[m/q] divides L[m] for any odd divisor q of m."""
-    _require_kind(lucas, Kind.LUCAS, "odd_divisor_divides")
+    require_kind(lucas, Kind.LUCAS, "odd_divisor_divides")
     if m < 1:
         raise ValueError("m must be positive")
     if q < 1 or q % 2 == 0 or m % q != 0:
@@ -234,8 +221,7 @@ def neighbor_gcd(family: Family, m: int, n: int) -> IdentityReport:
     Lucas type: L[1] when both indices are odd, else 1.  Fibonacci type:
     F[2] when both are even, else 1.
     """
-    if m < 1 or n < 1:
-        raise ValueError("indices must be positive")
+    require_positive(m, n)
     if not 0 < abs(m - n) <= 2:
         raise ValueError("indices must differ by 1 or 2")
     t = sequence(family).term
@@ -253,9 +239,8 @@ def mixed_shift_gcd(fib: Family, lucas: Family, m: int, n: int) -> list[Identity
     Part 1 always applies; part 2 needs m > n and part 3 needs m < n, so a
     call yields one or two reports.
     """
-    label = _require_pair(fib, lucas, "mixed_shift_gcd")
-    if m < 1 or n < 1:
-        raise ValueError("indices must be positive")
+    label = require_pair(fib, lucas, "mixed_shift_gcd")
+    require_positive(m, n)
     f, l = sequence(fib).term, sequence(lucas).term
     ln = l(n)
     reports = [
@@ -271,80 +256,92 @@ def mixed_shift_gcd(fib: Family, lucas: Family, m: int, n: int) -> list[Identity
     return reports
 
 
-IDENTITY_GROUPS: tuple[str, ...] = (
-    "convolution",
-    "addition",
-    "addition-cross",
-    "discriminant",
-    "lucas-addition",
-    "dic2-decompose",
-    "dic2-pow2",
-    "divides-iff",
-    "odd-divisor",
-    "neighbor-gcd",
-    "mixed-shift",
-)
+# Sweeps: each runs one identity group over an equivalent pair up to the
+# index bound k; single-family identities use the half they apply to.
+def _sweep_convolution(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in product(range(k + 1), repeat=2):
+        yield check_convolution(fib, m, n)
+
+
+def _sweep_addition(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in combinations_with_replacement(range(k + 1), 2):
+        yield from check_addition_laws(fib, lucas, m, n)
+
+
+def _sweep_addition_cross(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in combinations_with_replacement(range(k + 1), 2):
+        yield check_addition_cross(fib, lucas, m, n)
+
+
+def _sweep_discriminant(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in product(range(k + 1), repeat=2):
+        yield from check_discriminant_laws(fib, lucas, m, n)
+
+
+def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in combinations_with_replacement(range(k + 1), 2):
+        yield check_lucas_addition(lucas, m, n)
+
+
+def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, q in product(range(1, k + 1), repeat=2):
+        for r in range(m):
+            yield decompose_mod_gm(lucas, m, q, r)
+
+
+def _sweep_dic2_pow2(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    """Bounds the sequence index (2^n) r by 2k, since n scales it exponentially."""
+    cap = max(4, 2 * k)
+    for n in range(2, cap.bit_length()):
+        for r in range(1, cap // 2 ** n + 1):
+            yield decompose_pow2(lucas, n, r)
+
+
+def _sweep_divides_iff(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in product(range(1, k + 1), repeat=2):
+        yield divides_iff(fib, m, n)
+
+
+def _sweep_odd_divisor(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m in range(1, k + 1):
+        for q in range(1, m + 1, 2):
+            if m % q == 0:
+                yield odd_divisor_divides(lucas, m, q)
+
+
+def _sweep_neighbor_gcd(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for family in (fib, lucas):
+        for m in range(1, k + 1):
+            for n in (m + 1, m + 2):
+                if n <= k:
+                    yield neighbor_gcd(family, m, n)
+
+
+def _sweep_mixed_shift(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    for m, n in product(range(1, k + 1), repeat=2):
+        yield from mixed_shift_gcd(fib, lucas, m, n)
+
+
+_SWEEPS: dict[str, Callable[[Family, Family, int], Iterator[IdentityReport]]] = {
+    "convolution": _sweep_convolution,
+    "addition": _sweep_addition,
+    "addition-cross": _sweep_addition_cross,
+    "discriminant": _sweep_discriminant,
+    "lucas-addition": _sweep_lucas_addition,
+    "dic2-decompose": _sweep_dic2_decompose,
+    "dic2-pow2": _sweep_dic2_pow2,
+    "divides-iff": _sweep_divides_iff,
+    "odd-divisor": _sweep_odd_divisor,
+    "neighbor-gcd": _sweep_neighbor_gcd,
+    "mixed-shift": _sweep_mixed_shift,
+}
+
+IDENTITY_GROUPS: tuple[str, ...] = tuple(_SWEEPS)
 
 
 def iter_reports(group: str, fib: Family, lucas: Family, max_index: int) -> Iterator[IdentityReport]:
-    """Sweep one identity group over an equivalent pair up to max_index.
-
-    Single-family identities use the half of the pair they apply to.  The
-    dic2-pow2 sweep bounds the generated sequence index by 2 * max_index
-    since its parameters scale the index exponentially.
-    """
-    if group == "convolution":
-        for m in range(max_index + 1):
-            for n in range(max_index + 1):
-                yield check_convolution(fib, m, n)
-    elif group == "addition":
-        for m in range(max_index + 1):
-            for n in range(m, max_index + 1):
-                yield from check_addition_laws(fib, lucas, m, n)
-    elif group == "addition-cross":
-        for m in range(max_index + 1):
-            for n in range(m, max_index + 1):
-                yield check_addition_cross(fib, lucas, m, n)
-    elif group == "discriminant":
-        for m in range(max_index + 1):
-            for n in range(max_index + 1):
-                yield from check_discriminant_laws(fib, lucas, m, n)
-    elif group == "lucas-addition":
-        for m in range(max_index + 1):
-            for n in range(m, max_index + 1):
-                yield check_lucas_addition(lucas, m, n)
-    elif group == "dic2-decompose":
-        for m in range(1, max_index + 1):
-            for q in range(1, max_index + 1):
-                for r in range(min(m, max_index + 1)):
-                    yield decompose_mod_gm(lucas, m, q, r)
-    elif group == "dic2-pow2":
-        cap = max(4, 2 * max_index)
-        n = 2
-        while 2 ** n <= cap:
-            r = 1
-            while 2 ** n * r <= cap:
-                yield decompose_pow2(lucas, n, r)
-                r += 1
-            n += 1
-    elif group == "divides-iff":
-        for m in range(1, max_index + 1):
-            for n in range(1, max_index + 1):
-                yield divides_iff(fib, m, n)
-    elif group == "odd-divisor":
-        for m in range(1, max_index + 1):
-            for q in range(1, m + 1, 2):
-                if m % q == 0:
-                    yield odd_divisor_divides(lucas, m, q)
-    elif group == "neighbor-gcd":
-        for family in (fib, lucas):
-            for m in range(1, max_index + 1):
-                for n in (m + 1, m + 2):
-                    if n <= max_index:
-                        yield neighbor_gcd(family, m, n)
-    elif group == "mixed-shift":
-        for m in range(1, max_index + 1):
-            for n in range(1, max_index + 1):
-                yield from mixed_shift_gcd(fib, lucas, m, n)
-    else:
+    """Sweep one identity group over an equivalent pair up to max_index."""
+    sweep = _SWEEPS.get(group)
+    if sweep is None:
         raise ValueError(f"unknown identity group {group!r}; known: {', '.join(IDENTITY_GROUPS)}")
+    yield from sweep(fib, lucas, max_index)

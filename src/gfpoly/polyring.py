@@ -141,7 +141,13 @@ class Poly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable[str | int]) -> Poly:
+    def from_json(cls, data: list[str | int]) -> Poly:
+        """Inverse of to_json.  Plain ints are accepted too, but nothing looser."""
+        if not isinstance(data, list):
+            raise ValueError(f"coefficients must be a list, not {data!r}")
+        for c in data:
+            if type(c) is not int and not (type(c) is str and _DECIMAL_RE.fullmatch(c)):
+                raise ValueError(f"coefficient {c!r} is neither an integer nor a decimal string")
         return cls(int(c) for c in data)
 
     def __str__(self) -> str:
@@ -218,6 +224,7 @@ class Poly:
 
 
 _TERM_RE = re.compile(r"(\d+)?(x(?:\^(\d+))?)?")
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 ZERO = Poly()
 ONE = Poly([1])

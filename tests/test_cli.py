@@ -29,12 +29,12 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return status, captured.out, captured.err
 
 
-def gfp_process(*argv: str, **env: str) -> subprocess.Popen:
+def gfp_process(*argv: str) -> subprocess.Popen:
     """`python -m gfpoly ARGV` in a child, importing this checkout's package."""
     src = str(Path(gfpoly.__file__).resolve().parents[1])
     return subprocess.Popen(
         [sys.executable, "-m", "gfpoly", *argv],
-        env={**os.environ, "PYTHONPATH": src, **env},
+        env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 
@@ -115,6 +115,20 @@ class TestTerm:
         status, _, err = run_cli(capsys, "term", '{"name": "x"}', "3")
         assert status == 2
         assert "bad family JSON" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", ["a"]),        # unhashable: used to crash with a traceback
+        ("name", {"a": "b"}),
+        ("d", [1.7, 1]),        # used to be truncated to x + 1
+        ("d", "12"),            # used to be read digit by digit as 2x + 1
+        ("d", [True, 1]),
+    ])
+    def test_inline_json_with_wrong_types_is_refused(self, capsys, field, value):
+        family = json.dumps({**json.loads(FIB_JSON), field: value})
+        for argv in (("term", family, "5"), ("gcd", family, "3", "fibonacci", "6")):
+            status, out, err = run_cli(capsys, *argv)
+            assert status == 2 and out == ""
+            assert err.startswith("gfp: bad family JSON: ") and err.count("\n") == 1
 
     def test_non_integer_index_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -306,21 +320,6 @@ class TestTable:
             assert row["agree"] == row["total"] == 25
             assert set(row["cases"]) <= {"MixedDominant", "MixedOtherwise"}
             assert row["cases"]["MixedDominant"] > 0
-
-    def test_threaded_output_matches(self, capsys, monkeypatch):
-        args = ("table", "4", "--max-index", "8", "--json")
-        monkeypatch.setenv("GFP_THREADS", "1")
-        _, single, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("GFP_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert single == threaded
-
-    def test_bad_thread_count_is_usage_error(self):
-        proc = gfp_process("table", "3", "--max-index", "2", GFP_THREADS="abc")
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 2
-        assert out == ""
-        assert err.splitlines() == ["gfp: GFP_THREADS must be an integer, not 'abc'"]
 
     def test_max_index_cap(self, capsys):
         status, _, err = run_cli(capsys, "table", "3", "--max-index", "65")

@@ -14,10 +14,11 @@ import math
 import pytest
 
 import gfpoly.gcd_theorems as gcd_theorems_module
-from gfpoly.families import NotEquivalentError, builtin_family, sequence
+from gfpoly.families import Family, NotEquivalentError, builtin_family, sequence
 from gfpoly.gcd_theorems import (
     GcdCase,
     GcdReport,
+    closed_gcd,
     compare,
     gcd_fib_closed,
     gcd_lucas_closed,
@@ -170,6 +171,46 @@ class TestMixedGcd:
     def test_requires_correct_kinds(self):
         with pytest.raises(ValueError):
             gcd_mixed_closed(LUC, FIB, 2, 3)
+
+
+class TestClosedGcd:
+    def test_renamed_inline_copy_gets_the_closed_form(self):
+        copy = Family.from_json({**LUC.to_json(), "name": "my-lucas"})
+        for m, n in ((6, 9), (4, 6), (3, 9)):
+            assert closed_gcd(LUC, copy, m, n) == gcd_lucas_closed(LUC, m, n)
+            assert closed_gcd(copy, LUC, m, n) == gcd_lucas_closed(LUC, m, n)
+
+    def test_other_initial_values_have_no_closed_form(self):
+        # Same kind and (d, g) as lucas, but p0 = -2 and p1 = -x.
+        negated = Family.from_json({"name": "neg-lucas", "kind": "lucas", "d": ["0", "1"],
+                                    "g": ["1"], "p0": ["-2"], "p1": ["0", "-1"]})
+        assert negated.is_valid
+        assert closed_gcd(LUC, negated, 6, 9) is None
+        assert closed_gcd(negated, LUC, 6, 9) is None
+
+    def test_mixed_pair_in_either_order(self):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                expected = gcd_mixed_closed(FIB, LUC, m, n)
+                assert closed_gcd(FIB, LUC, m, n) == expected
+                assert closed_gcd(LUC, FIB, n, m) == expected
+
+    def test_calls_the_theorems_through_module_globals(self, monkeypatch):
+        # Per-layer tracing rebinds these names in the module; a reference
+        # captured at import time would bypass it.
+        seen = []
+        for name in ("gcd_fib_closed", "gcd_lucas_closed", "gcd_mixed_closed"):
+            real = getattr(gcd_theorems_module, name)
+
+            def spy(*args, name=name, real=real):
+                seen.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(gcd_theorems_module, name, spy)
+        closed_gcd(FIB, FIB, 4, 6)
+        closed_gcd(LUC, LUC, 4, 6)
+        closed_gcd(LUC, FIB, 4, 6)
+        assert seen == ["gcd_fib_closed", "gcd_lucas_closed", "gcd_mixed_closed"]
 
 
 class TestCompare:

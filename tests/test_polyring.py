@@ -421,6 +421,18 @@ class TestTextFormat:
         assert Poly.from_json(["4", "12", "12", "8"]) == Poly([4, 12, 12, 8])
         assert ZERO.to_json() == []
 
+    def test_json_accepts_plain_ints(self):
+        assert Poly.from_json([1, "-2", 3]) == Poly([1, -2, 3])
+
+    @pytest.mark.parametrize("bad", [
+        "12", ("1",), {"0": "1"},                     # not a list
+        [1.7, 1], [True, 1], [None], ["1", 2.0],      # not an int or a string
+        ["1.7"], [" 1"], ["1_0"], ["+1"], ["0x1"], [""], ["\u0661"],  # not a decimal string
+    ])
+    def test_json_refuses_loose_coefficients(self, bad):
+        with pytest.raises(ValueError):
+            Poly.from_json(bad)
+
     def test_big_coefficients_survive_json(self):
         p = Poly([10 ** 40, -(3 ** 90)])
         assert Poly.from_json(p.to_json()) == p
