@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 from .polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
 
@@ -223,31 +224,86 @@ def equivalent_family(family: Family) -> Family:
     )
 
 
+# Terms 0..RETAINED stay cached; past it a cache keeps two terms only.  It
+# must cover the indices the identity catalog revisits out of order
+# (verify --max-index 14 reaches 210).
+RETAINED = 256
+
+
+def _step(d: tuple[int, ...], g: tuple[int, ...], t1: tuple[int, ...], t0: tuple[int, ...]) -> Poly:
+    """d * t1 + g * t0 on ascending coefficient tuples, built as one Poly.
+
+    Zero coefficients of d and g are skipped, and a coefficient of +-1 adds
+    or subtracts a term's row without multiplying.  The first row to land
+    on a stretch of the output not yet written is stored as it is, so a
+    monic shift such as x * t1 costs no arithmetic.  Rows go through map,
+    where a zero coefficient of a term costs a small-int operation only.
+    """
+    out = [0] * (max(len(d) + len(t1), len(g) + len(t0)) - 1)
+    unwritten = 0  # out[unwritten:] is still all zeros
+    for a, t in ((d, t1), (g, t0)):
+        m = len(t)
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            if i >= unwritten:
+                out[i:i + m] = t if c == 1 else map(neg if c == -1 else c.__mul__, t)
+            elif c == 1:
+                out[i:i + m] = map(add, out[i:i + m], t)
+            elif c == -1:
+                out[i:i + m] = map(sub, out[i:i + m], t)
+            else:
+                out[i:i + m] = map(add, out[i:i + m], map(c.__mul__, t))
+            unwritten = max(unwritten, i + m)
+    return Poly(out)
+
+
 class SequenceCache:
-    """Memoized terms of one family's recurrence."""
+    """Terms of one recurrence: a retained prefix and a two-term tail.
+
+    Terms 0..RETAINED are kept once built, for callers that revisit small
+    indices in any order.  Past RETAINED only (k, T[k-1], T[k]) is kept: a
+    request at or beyond k advances that tail, and a request behind it
+    restarts the tail from the end of the prefix.  Memory is the prefix
+    plus two terms at any index, so every index the CLI accepts, up to its
+    MAX_TERM_INDEX, finishes.
+    """
 
     def __init__(self, family: Family):
-        self.family = family
-        self._terms = [family.p0, family.p1]
+        self._d, self._g = family.d.coeffs, family.g.coeffs
+        self._prefix = [family.p0, family.p1]
+        self._tail: tuple[int, Poly, Poly] | None = None
 
     def term(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("term index must be nonnegative")
-        terms = self._terms
-        d, g = self.family.d, self.family.g
-        while len(terms) <= n:
-            terms.append(d * terms[-1] + g * terms[-2])
-        return terms[n]
+        d, g, prefix = self._d, self._g, self._prefix
+        while len(prefix) <= min(n, RETAINED):
+            prefix.append(_step(d, g, prefix[-1].coeffs, prefix[-2].coeffs))
+        if n <= RETAINED:
+            return prefix[n]
+        if self._tail is None or self._tail[0] > n:
+            self._tail = (RETAINED, prefix[-2], prefix[-1])
+        k, t0, t1 = self._tail
+        while k < n:
+            k, t0, t1 = k + 1, t1, _step(d, g, t1.coeffs, t0.coeffs)
+        self._tail = (k, t0, t1)
+        return t1
 
 
-_CACHES: dict[Family, SequenceCache] = {}
+_CACHES: dict[tuple[Poly, Poly, Poly, Poly], SequenceCache] = {}
 
 
 def sequence(family: Family) -> SequenceCache:
-    """Shared per-family cache; callers in one process reuse computed terms."""
-    cache = _CACHES.get(family)
+    """Shared cache per recurrence; callers in one process reuse computed terms.
+
+    The key is (d, g, p0, p1), not the family, so copies that differ only
+    in name share one cache.
+    """
+    key = (family.d, family.g, family.p0, family.p1)
+    cache = _CACHES.get(key)
     if cache is None:
-        cache = _CACHES[family] = SequenceCache(family)
+        cache = _CACHES[key] = SequenceCache(family)
     return cache
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import gfpoly
 from gfpoly.cli import main
+from gfpoly.polyring import Poly
 
 FIB_JSON = json.dumps({
     "name": "custom-fib", "kind": "fibonacci",
@@ -29,13 +30,13 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return status, captured.out, captured.err
 
 
-def gfp_process(*argv: str) -> subprocess.Popen:
+def gfp_process(*argv: str, **popen_args) -> subprocess.Popen:
     """`python -m gfpoly ARGV` in a child, importing this checkout's package."""
     src = str(Path(gfpoly.__file__).resolve().parents[1])
     return subprocess.Popen(
         [sys.executable, "-m", "gfpoly", *argv],
         env={**os.environ, "PYTHONPATH": src},
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen_args,
     )
 
 
@@ -90,6 +91,22 @@ class TestTerm:
         status, out, _ = run_cli(capsys, "term", FIB_JSON, "5")
         assert status == 0
         assert out == "x^4 + 3x^2 + 1\n"
+
+    def test_deep_term_runs_in_bounded_memory(self):
+        # Retaining every term needed about 1 GB here and died of MemoryError.
+        resource = pytest.importorskip("resource")
+        cap = 256 * 2**20
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = gfp_process("term", "fibonacci", "4000", preexec_fn=limit_address_space)
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        a, b = 0, 1
+        for _ in range(4000):
+            a, b = b, a + b
+        assert Poly.parse(out).eval_at(1) == a
 
     def test_unknown_family(self, capsys):
         status, _, err = run_cli(capsys, "term", "tribonacci", "3")

@@ -10,9 +10,13 @@ must stay coprime to) are swept for all built-ins.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gfpoly import families
 from gfpoly.families import (
     BUILTIN,
     PARTNER,
@@ -27,6 +31,7 @@ from gfpoly.families import (
     random_pair,
     sequence,
 )
+from gfpoly.gcd_theorems import closed_gcd, compare
 from gfpoly.polyring import ONE, X, ZERO, Poly, poly_gcd_z
 
 FIB_BUILTINS = ["fibonacci", "pell", "fermat", "chebyshev2", "jacobsthal",
@@ -267,6 +272,71 @@ class TestSequences:
             t = sequence(f).term
             for n in range(2, 20):
                 assert t(n) == f.d * t(n - 1) + f.g * t(n - 2), (name, n)
+
+
+def reference_terms(family: Family, n: int) -> list[Poly]:
+    """T[0..n] by the recurrence in plain Poly arithmetic: d * t1 + g * t0."""
+    terms = [family.p0, family.p1]
+    while len(terms) <= n:
+        terms.append(family.d * terms[-1] + family.g * terms[-2])
+    return terms[:n + 1]
+
+
+def _hand_made(d: list[int], g: list[int], p0: list[int], p1: list[int]) -> Family:
+    # SequenceCache does not validate, so any initial values will do.
+    return Family("hand-made", Kind.FIBONACCI, Poly(d), Poly(g), Poly(p0), Poly(p1))
+
+
+# Interior zeros, +-1 and negative leading coefficients all come up.
+_small = st.lists(st.sampled_from([-3, -1, 0, 1, 2]), min_size=1, max_size=4)
+any_family = st.one_of(
+    st.sampled_from(list(BUILTIN.values())),
+    st.integers(0, 999).map(lambda seed: random_pair(random.Random(seed), "r")[seed % 2]),
+    st.builds(_hand_made, _small, _small, _small, _small),
+)
+
+
+class TestRetainedPrefixAndTail:
+    """SequenceCache against reference_terms, across the end of the prefix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_family, st.integers(1, 8), st.lists(st.integers(0, 30), min_size=1, max_size=10))
+    @example(_hand_made([0, 1, 0, -1], [-1, 0, 2], [], [1]), 4, [20, 5, 12, 4, 5, 30, 6])
+    @example(_hand_made([1, -3, 0, -1], [0, 0, -1], [2], [-1, 0, 1]), 1, [9, 2, 1, 0, 10, 3])
+    def test_matches_reference(self, family, retained, indices):
+        want = reference_terms(family, max(indices))
+        with mock.patch.object(families, "RETAINED", retained):
+            cache = SequenceCache(family)
+            for n in indices:
+                assert cache.term(n) == want[n], n
+
+    @pytest.mark.parametrize("name", list(BUILTIN))
+    def test_builtins_out_of_order_across_the_prefix_end(self, name):
+        family = builtin_family(name)
+        want = reference_terms(family, 700)
+        cache = SequenceCache(family)
+        for n in (600, 300, 700, 5, 257, 256, 258):
+            assert cache.term(n) == want[n], n
+
+    def test_prefix_stops_growing_at_retained(self):
+        with mock.patch.object(families, "RETAINED", 10):
+            cache = SequenceCache(builtin_family("lucas"))
+            cache.term(50)
+            assert len(cache._prefix) == 11
+            assert cache._tail[0] == 50
+
+    def test_renamed_copy_shares_the_cache(self):
+        lucas = builtin_family("lucas")
+        copy = Family.from_json({**lucas.to_json(), "name": "my-lucas"})
+        assert sequence(copy) is sequence(lucas)
+
+    def test_closed_form_and_oracle_on_a_renamed_copy_leave_one_cache(self, monkeypatch):
+        monkeypatch.setattr(families, "_CACHES", {})
+        lucas = builtin_family("lucas")
+        copy = Family.from_json({**lucas.to_json(), "name": "my-lucas"})
+        closed, case = closed_gcd(lucas, copy, 30, 45)
+        assert compare(lucas, copy, 30, 45, closed, case).agrees
+        assert len(families._CACHES) == 1
 
 
 class TestCoprimalitySweeps:
