@@ -69,6 +69,21 @@ class TestRegistry:
             f = builtin_family(name)
             assert (f.kind, f.d.coeffs, f.g.coeffs, f.p0.coeffs, f.p1.coeffs) == (kind, d, g, p0, p1), name
 
+    def test_partner_pairs_the_valid_builtins(self):
+        pairs = {
+            "fibonacci": "lucas",
+            "pell": "pell-lucas-prime",
+            "fermat": "fermat-lucas",
+            "chebyshev2": "chebyshev1",
+            "jacobsthal": "jacobsthal-lucas",
+            "morgan-voyce-b": "morgan-voyce-c",
+            "paper-2x1-fib": "paper-2x1-lucas",
+        }
+        assert PARTNER == {**pairs, **{lucas: fib for fib, lucas in pairs.items()}}
+        assert len(PARTNER) == 14
+        assert all(PARTNER[PARTNER[name]] == name for name in PARTNER)
+        assert "pell-lucas" not in PARTNER
+
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
             builtin_family("tribonacci")

@@ -3,8 +3,10 @@
 Each case runs in-process through main(argv).  The commands are the `gfp`
 examples of README.md, with `random:5` in place of the README's
 `random:50` to keep the suite fast, plus the three tables at
---max-index 24 in text and JSON.  A change that alters any byte of this
-output, or any exit status, fails here; refactors must keep them all.
+--max-index 24 in text and JSON, and `gcd --json` with a closed form,
+with --check, and with the oracle alone.  A change that alters any byte
+of this output, or any exit status, fails here; refactors must keep
+them all.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ GOLDEN = [
     (("gcd", "lucas", "3", "lucas", "9"), 0, "ba5094e793a706dea9f125420d47371904ca33986930e60f650b463ba3767d0f"),
     (("gcd", "fibonacci", "4", "lucas", "2", "--check"), 0,
      "f37ffc4fedc2e35750d114cdf9c9960b75e9ad360c57c08fef64bd0a20a27cbc"),
+    (("gcd", "lucas", "3", "lucas", "9", "--json"), 0,
+     "21c8cc80b2b03651a9bfefa444096410c66b5d2df1c5378cc8c999fbaa42955d"),
+    (("gcd", "fibonacci", "4", "lucas", "2", "--check", "--json"), 0,
+     "dea0699a5afc975c1b11500c5ef0ab6baa05399575602ce4b4f8b98e2a7907b2"),
+    (("gcd", "fibonacci", "3", "pell", "4", "--json"), 0,
+     "56382a9ca58e428e793fb75d1dce4362f4a896745337af4c7347c750ead4417f"),
     (("verify",), 0, "3d399bdda9123942983ecdef873fdd690a1f3d78374ca12337003842e963745b"),
     (("verify", "--identity", "convolution", "--families", "fibonacci", "--max-index", "20"), 0,
      "c339290d8586d0fa9db8dc317452510407f49aeca1f06d2acd661668bea95bed"),

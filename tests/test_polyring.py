@@ -13,10 +13,11 @@ switched off.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gfpoly import polyring
@@ -80,6 +81,60 @@ def reference_gcd(p: Poly, q: Poly) -> Poly:
         r = _pseudo_rem(a, b)
         a, b = b, (r.primitive_part() if not r.is_zero else ZERO)
     return a * c
+
+
+_REF_TERM_RE = re.compile(r"(\d+)?(x(?:\^(\d+))?)?")
+
+
+def reference_parse(text: str) -> Poly:
+    # Position scanner: a sign, a term matched at the position, then a
+    # whitespace gap that must end in a sign.  Independent of Poly.parse.
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    acc: dict[int, int] = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        sign = 1
+        if s[pos] in "+-":
+            sign = -1 if s[pos] == "-" else 1
+            pos += 1
+            while pos < len(s) and s[pos].isspace():
+                pos += 1
+        elif not first:
+            raise ValueError(f"missing sign before {s[pos:]!r}")
+        m = _REF_TERM_RE.match(s, pos)
+        if m is None or m.end() == pos:
+            raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
+        num, xpart, exp = m.groups()
+        coeff = sign * (int(num) if num is not None else 1)
+        e = 0 if xpart is None else (1 if exp is None else int(exp))
+        acc[e] = acc.get(e, 0) + coeff
+        pos = m.end()
+        first = False
+        gap = pos
+        while gap < len(s) and s[gap].isspace():
+            gap += 1
+        if gap > pos and gap < len(s) and s[gap] not in "+-":
+            raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
+        pos = gap
+    out = [0] * (max(acc) + 1)
+    for e, c in acc.items():
+        out[e] = c
+    return Poly(out)
+
+
+# Short texts for the parser: the format's own characters, whitespace that
+# str.strip and \s accept beyond ASCII, and decimal digits of other scripts
+# that \d and int() accept.  Token joins reach well-formed input more often.
+_PARSE_ALPHABET = "0123456789x^+- \t\x1c\x85\xa0\u0661\u0e53\uff17"
+_PARSE_TOKENS = ["x", "x^", "^", "+", "-", " ", "\t", "\x1c", "\x85", "\xa0",
+                 "0", "1", "7", "12", "3x", "x^2", "\u0661", "\uff17"]
+parse_texts = st.one_of(
+    st.text(_PARSE_ALPHABET, max_size=12),
+    st.lists(st.sampled_from(_PARSE_TOKENS), max_size=8).map("".join),
+)
 
 
 class TestRepresentation:
@@ -405,6 +460,21 @@ class TestTextFormat:
         for bad in ("", "x^", "2y", "1 2", "x**2", "3 +", "^2"):
             with pytest.raises(ValueError):
                 Poly.parse(bad)
+
+    @settings(max_examples=500)
+    @given(parse_texts)
+    @example("x^2 \x85+\xa01")
+    @example("\u0661x^\uff17 -\x1cx")
+    @example("- x + 1 2")
+    def test_parse_matches_reference(self, text):
+        assume(not re.search(r"\^\d{4}", text))  # x^EXP allocates EXP + 1 slots
+        try:
+            expected = reference_parse(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                Poly.parse(text)
+        else:
+            assert Poly.parse(text) == expected
 
     @given(polys)
     def test_text_roundtrip_is_bit_exact(self, p):
