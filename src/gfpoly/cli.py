@@ -121,8 +121,7 @@ def cmd_gcd(args: argparse.Namespace) -> int:
         lines = [f"closed form: {value}", f"case: {case.value}"]
         if args.check:
             report = compare(fa, fb, m, n, value, case)
-            data["oracle"] = report.oracle.to_json()
-            data["agrees"] = report.agrees
+            data.update(report.to_json())
             lines += [f"oracle: {report.oracle}", f"agrees: {str(report.agrees).lower()}"]
             if not report.agrees:
                 status = 1
@@ -160,13 +159,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.identity not in (*IDENTITY_GROUPS, "all"):
         raise UsageError(f"unknown identity {args.identity!r}; known: {', '.join(IDENTITY_GROUPS)}, all")
     groups = IDENTITY_GROUPS if args.identity == "all" else (args.identity,)
-    if args.max_index < 1:
+    k = args.max_index
+    if k < 1:
         raise UsageError("--max-index must be positive")
+    if k * k + k - 1 > MAX_TERM_INDEX:  # dic2-decompose reads L[k*k + k - 1]
+        raise UsageError(f"--max-index {k} needs term index {k * k + k - 1}, past the cap of {MAX_TERM_INDEX}")
     pairs = _verify_pairs(args.families, args.seed)
     by_group: dict[str, list[int]] = {g: [0, 0] for g in groups}
     for group, tally in by_group.items():
         for fib, lucas in pairs:
-            for report in iter_reports(group, fib, lucas, args.max_index):
+            for report in iter_reports(group, fib, lucas, k):
                 tally[0 if report.passed else 1] += 1
                 if args.json:
                     print(json.dumps(report.to_json()))

@@ -173,18 +173,12 @@ BUILTIN: dict[str, Family] = {
     )
 }
 
-# Equivalent partners: same (d, g), opposite kind.  pell-lucas is absent on
-# purpose; it fails validation and pell pairs with pell-lucas-prime instead.
+_VALID = [f for f in BUILTIN.values() if f.is_valid]
+
+# Equivalent partners among the valid built-ins: same (d, g), opposite kind.
 PARTNER: dict[str, str] = {
-    "fibonacci": "lucas",
-    "pell": "pell-lucas-prime",
-    "fermat": "fermat-lucas",
-    "chebyshev2": "chebyshev1",
-    "jacobsthal": "jacobsthal-lucas",
-    "morgan-voyce-b": "morgan-voyce-c",
-    "paper-2x1-fib": "paper-2x1-lucas",
+    a.name: b.name for a in _VALID for b in _VALID if a.kind is not b.kind and (a.d, a.g) == (b.d, b.g)
 }
-PARTNER.update({lucas: fib for fib, lucas in list(PARTNER.items())})
 
 
 def builtin_names() -> list[str]:
@@ -208,7 +202,7 @@ def equivalent_family(family: Family) -> Family:
     """
     if family.name in PARTNER:
         partner = BUILTIN[PARTNER[family.name]]
-        if (partner.d, partner.g) == (family.d, family.g):
+        if partner.kind is not family.kind and (partner.d, partner.g) == (family.d, family.g):
             return partner
     if family.kind is Kind.LUCAS:
         return _fib(f"{family.name}.fib", family.d, family.g)
@@ -261,32 +255,32 @@ def _step(d: tuple[int, ...], g: tuple[int, ...], t1: tuple[int, ...], t0: tuple
 class SequenceCache:
     """Terms of one recurrence: a retained prefix and a two-term tail.
 
-    Terms 0..RETAINED are kept once built, for callers that revisit small
-    indices in any order.  Past RETAINED only (k, T[k-1], T[k]) is kept: a
-    request at or beyond k advances that tail, and a request behind it
-    restarts the tail from the end of the prefix.  Memory is the prefix
-    plus two terms at any index, so every index the CLI accepts, up to its
+    One walk builds every term: it advances the tail (k, T[k-1], T[k]) and,
+    while k <= RETAINED, appends each term to the prefix, which serves
+    callers that revisit small indices in any order.  A request behind the
+    tail restarts it from the end of the prefix.  Memory is the prefix plus
+    two terms at any index, so every index the CLI accepts, up to its
     MAX_TERM_INDEX, finishes.
     """
 
     def __init__(self, family: Family):
         self._d, self._g = family.d.coeffs, family.g.coeffs
         self._prefix = [family.p0, family.p1]
-        self._tail: tuple[int, Poly, Poly] | None = None
+        self._tail = (1, family.p0, family.p1)
 
     def term(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("term index must be nonnegative")
-        d, g, prefix = self._d, self._g, self._prefix
-        while len(prefix) <= min(n, RETAINED):
-            prefix.append(_step(d, g, prefix[-1].coeffs, prefix[-2].coeffs))
-        if n <= RETAINED:
+        prefix = self._prefix
+        if n < len(prefix):
             return prefix[n]
-        if self._tail is None or self._tail[0] > n:
-            self._tail = (RETAINED, prefix[-2], prefix[-1])
         k, t0, t1 = self._tail
+        if k > n:  # then the prefix is full
+            k, t0, t1 = len(prefix) - 1, prefix[-2], prefix[-1]
         while k < n:
-            k, t0, t1 = k + 1, t1, _step(d, g, t1.coeffs, t0.coeffs)
+            k, t0, t1 = k + 1, t1, _step(self._d, self._g, t1.coeffs, t0.coeffs)
+            if k <= RETAINED:
+                prefix.append(t1)
         self._tail = (k, t0, t1)
         return t1
 

@@ -190,39 +190,21 @@ class Poly:
         s = text.strip()
         if not s:
             raise ValueError("empty polynomial text")
+        # "x - 2" splits to ["", "+", "x", "-", "2"]: (sign, term) pairs.
+        parts = _SIGN_RE.split(s if s[0] in "+-" else "+" + s)
         acc: dict[int, int] = {}
-        pos = 0
-        first = True
-        while pos < len(s):
-            sign = 1
-            if s[pos] in "+-":
-                sign = -1 if s[pos] == "-" else 1
-                pos += 1
-                while pos < len(s) and s[pos].isspace():
-                    pos += 1
-            elif not first:
-                raise ValueError(f"missing sign before {s[pos:]!r}")
-            m = _TERM_RE.match(s, pos)
-            if m is None or m.end() == pos:
-                raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
+        for sign, term in zip(parts[1::2], parts[2::2]):
+            m = term and _TERM_RE.fullmatch(term)
+            if not m:
+                raise ValueError(f"bad polynomial syntax near {term!r}")
             num, xpart, exp = m.groups()
-            coeff = sign * (int(num) if num is not None else 1)
             e = 0 if xpart is None else (1 if exp is None else int(exp))
-            acc[e] = acc.get(e, 0) + coeff
-            pos = m.end()
-            first = False
-            gap = pos
-            while gap < len(s) and s[gap].isspace():
-                gap += 1
-            if gap > pos and gap < len(s) and s[gap] not in "+-":
-                raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
-            pos = gap
-        out = [0] * (max(acc) + 1)
-        for e, c in acc.items():
-            out[e] = c
-        return cls(out)
+            coeff = int(num) if num is not None else 1
+            acc[e] = acc.get(e, 0) + (-coeff if sign == "-" else coeff)
+        return cls(acc.get(e, 0) for e in range(max(acc) + 1))
 
 
+_SIGN_RE = re.compile(r"\s*([+-])\s*")
 _TERM_RE = re.compile(r"(\d+)?(x(?:\^(\d+))?)?")
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 

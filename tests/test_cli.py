@@ -300,6 +300,23 @@ class TestVerify:
         assert status == 2
         assert "max-index" in err
 
+    @pytest.mark.parametrize("argv, status", [
+        (("--max-index", "100"), 2),
+        (("--identity", "odd-divisor", "--families", "fibonacci", "--max-index", "99"), 0),
+    ])
+    def test_max_index_keeps_terms_under_the_cap(self, argv, status):
+        # dic2-decompose reads L[k*k + k - 1]: 9,899 at k = 99, 10,099 at k = 100.
+        proc = gfp_process("verify", *argv)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
+        assert proc.returncode == status
+        if status == 2:
+            assert err == "gfp: --max-index 100 needs term index 10099, past the cap of 10000\n"
+
     def test_empty_family_list(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--families", " , ")
         assert status == 2

@@ -218,6 +218,14 @@ class TestEquivalentFamily:
         back = equivalent_family(equivalent_family(f))
         assert (back.kind, back.d, back.g, back.p0, back.p1) == (f.kind, f.d, f.g, f.p0, f.p1)
 
+    def test_builtin_name_of_the_other_kind_is_not_its_own_partner(self):
+        # A Lucas-type family that borrows the name "fibonacci" pairs with a
+        # Fibonacci-type family, not with the built-in lucas.
+        f = Family("fibonacci", Kind.LUCAS, X, ONE, Poly([2]), X)
+        partner = equivalent_family(f)
+        assert partner.kind is Kind.FIBONACCI
+        assert (partner.d, partner.g) == (X, ONE)
+
     def test_invalid_input_has_no_partner(self):
         broken = Family("broken", Kind.FIBONACCI, ZERO, ZERO, ZERO, ONE)
         with pytest.raises(NoValidEquivalentError):
