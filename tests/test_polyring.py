@@ -7,7 +7,8 @@ suites elsewhere lean on it as the oracle, so it gets the heaviest
 property coverage here.  Its heuristic path is checked against a
 Poly-based primitive remainder sequence and, when sympy is installed,
 against sympy; its fallback path reruns the gcd laws with the heuristic
-switched off.
+switched off.  Poly.parse is checked against a position scanner written
+independently of its sign split.
 """
 
 from __future__ import annotations
