@@ -3,8 +3,9 @@
 Each case runs in-process through main(argv).  The commands are the `gfp`
 examples of README.md, with `random:5` in place of the README's
 `random:50` to keep the suite fast, plus the three tables at
---max-index 24 in text and JSON, and `gcd --json` with a closed form,
-with --check, and with the oracle alone.  A change that alters any byte
+--max-index 24 in text and JSON, `gcd --json` with a closed form,
+with --check, and with the oracle alone, and the random pairs in --json,
+which pins their labels and witnesses.  A change that alters any byte
 of this output, or any exit status, fails here; refactors must keep
 them all.
 """
@@ -41,6 +42,8 @@ GOLDEN = [
      "c339290d8586d0fa9db8dc317452510407f49aeca1f06d2acd661668bea95bed"),
     (("verify", "--families", "random:5", "--seed", "7", "--max-index", "8"), 0,
      "6653cbff1a0482a3c4aa4bf6691074d7beeff3a30ae9d01d66398c6cf4dd2e1b"),
+    (("verify", "--families", "random:5", "--seed", "7", "--max-index", "8", "--json"), 0,
+     "fbec600d73f193102598138e4fd41f33cb4be510f8d8d00e790eb76977edffd4"),
     # 9.2 MB of JSON lines; only the digest is kept.
     (("verify", "--json"), 0, "0fdd8b082e5877a89b14dbee1aa9a48a965f73c4e49388b0291ddcafab10083c"),
     (("table", "3", "--max-index", "24"), 0, "b30de34e24fc0ee23fbe14b9a236bbced6d6dff63d62ebdc0a6ba165d9170d5d"),
