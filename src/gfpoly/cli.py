@@ -21,6 +21,7 @@ from itertools import product
 from .families import (
     BUILTIN,
     PARTNER,
+    VALID,
     Family,
     Kind,
     UnknownFamilyError,
@@ -71,7 +72,7 @@ def _check_index(n: int) -> int:
 
 
 def cmd_families(args: argparse.Namespace) -> int:
-    rows = [f for f in BUILTIN.values() if f.is_valid]
+    rows = VALID
     if args.kind:
         rows = [f for f in rows if f.kind is Kind(args.kind)]
     if args.json:
@@ -131,8 +132,8 @@ def cmd_gcd(args: argparse.Namespace) -> int:
 
 def _verify_pairs(spec: str, seed: int) -> list[tuple[Family, Family]]:
     if spec == "builtin":
-        names = [name for name in BUILTIN if name in PARTNER and BUILTIN[name].kind is Kind.FIBONACCI]
-    elif spec.startswith("random:"):
+        return [(f, BUILTIN[PARTNER[f.name]]) for f in VALID if f.name in PARTNER and f.kind is Kind.FIBONACCI]
+    if spec.startswith("random:"):
         try:
             count = int(spec.split(":", 1)[1])
         except ValueError:
@@ -141,10 +142,9 @@ def _verify_pairs(spec: str, seed: int) -> list[tuple[Family, Family]]:
             raise UsageError("random family count must be positive")
         rng = random.Random(seed)
         return [random_pair(rng, f"random-{i:03d}") for i in range(count)]
-    else:
-        names = [s.strip() for s in spec.split(",") if s.strip()]
-        if not names:
-            raise UsageError("no families selected")
+    names = [s.strip() for s in spec.split(",") if s.strip()]
+    if not names:
+        raise UsageError("no families selected")
     pairs = []
     for name in names:
         family = _resolve_family(name)

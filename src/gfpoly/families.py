@@ -82,6 +82,10 @@ class Family:
     def is_valid(self) -> bool:
         return not self.violations()
 
+    def is_equivalent(self, other: Family) -> bool:
+        """Opposite kind over the same recurrence (d, g)."""
+        return self.kind is not other.kind and (self.d, self.g) == (other.d, other.g)
+
     def discriminant(self) -> Poly:
         """d**2 + 4g, the square of the difference of the recurrence roots."""
         return self.d * self.d + self.g * 4
@@ -127,7 +131,7 @@ def require_pair(fib: Family, lucas: Family, who: str) -> str:
     """Refuse anything but an equivalent (Fibonacci, Lucas) pair; returns its label."""
     require_kind(fib, Kind.FIBONACCI, who)
     require_kind(lucas, Kind.LUCAS, who)
-    if (fib.d, fib.g) != (lucas.d, lucas.g):
+    if not fib.is_equivalent(lucas):
         raise NotEquivalentError(f"{fib.name} and {lucas.name} do not share the same (d, g)")
     return f"{fib.name}/{lucas.name}"
 
@@ -173,12 +177,10 @@ BUILTIN: dict[str, Family] = {
     )
 }
 
-_VALID = [f for f in BUILTIN.values() if f.is_valid]
+VALID: tuple[Family, ...] = tuple(f for f in BUILTIN.values() if f.is_valid)
 
-# Equivalent partners among the valid built-ins: same (d, g), opposite kind.
-PARTNER: dict[str, str] = {
-    a.name: b.name for a in _VALID for b in _VALID if a.kind is not b.kind and (a.d, a.g) == (b.d, b.g)
-}
+# Equivalent partners among the valid built-ins.
+PARTNER: dict[str, str] = {a.name: b.name for a in VALID for b in VALID if a.is_equivalent(b)}
 
 
 def builtin_names() -> list[str]:
@@ -202,7 +204,7 @@ def equivalent_family(family: Family) -> Family:
     """
     if family.name in PARTNER:
         partner = BUILTIN[PARTNER[family.name]]
-        if partner.kind is not family.kind and (partner.d, partner.g) == (family.d, family.g):
+        if partner.is_equivalent(family):
             return partner
     if family.kind is Kind.LUCAS:
         return _fib(f"{family.name}.fib", family.d, family.g)

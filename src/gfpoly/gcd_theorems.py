@@ -111,7 +111,7 @@ def closed_gcd(fa: Family, fb: Family, m: int, n: int) -> tuple[Poly, GcdCase] |
         if fa.kind is Kind.FIBONACCI:
             return gcd_fib_closed(fa, m, n), GcdCase.FIB_STRONG
         return gcd_lucas_closed(fa, m, n)
-    if fa.kind is not fb.kind and (fa.d, fa.g) == (fb.d, fb.g):
+    if fa.is_equivalent(fb):
         if fa.kind is Kind.FIBONACCI:
             return gcd_mixed_closed(fa, fb, m, n)
         return gcd_mixed_closed(fb, fa, n, m)

@@ -62,6 +62,16 @@ def _equation(identity_id: str, family: str, params: tuple[int, ...],
     return IdentityReport(identity_id, family, params, lhs, rhs, lhs == rhs, witness)
 
 
+def _decomposition(identity_id: str, family: str, params: tuple[int, ...],
+                   target: Poly, divisor: Poly, correction: Poly = ZERO) -> IdentityReport:
+    """target = divisor * witness + correction, the witness found by exact
+    division and re-multiplied into rhs: pass means it exists and rhs is
+    target bit for bit."""
+    witness = exact_div(target - correction, divisor)
+    rhs = divisor * witness + correction if witness is not None else correction
+    return IdentityReport(identity_id, family, params, target, rhs, witness is not None and target == rhs, witness)
+
+
 def check_convolution(family: Family, m: int, n: int) -> IdentityReport:
     require_kind(family, Kind.FIBONACCI, "check_convolution")
     if m < 0 or n < 0:
@@ -134,8 +144,7 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
 
     The correction depends on the parity of q through t = ceil(q / 2):
     odd q uses (-1)^(m(t-1)+t+r) g^((t-1)m+r) L[m-r], even q uses
-    (-1)^((m+1)t) g^(mt) L[r].  The quotient witness is recovered by exact
-    division and re-multiplied into rhs, so pass means bit-exact equality.
+    (-1)^((m+1)t) g^(mt) L[r].
     """
     require_kind(lucas, Kind.LUCAS, "decompose_mod_gm")
     if m < 1 or q < 1 or r < 0:
@@ -150,11 +159,7 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
     else:
         sign = -1 if ((m + 1) * t) % 2 else 1
         correction = lucas.g ** (m * t) * l(r) * sign
-    target = l(m * q + r)
-    witness = exact_div(target - correction, l(m))
-    rhs = l(m) * witness + correction if witness is not None else correction
-    return IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, rhs,
-                          witness is not None and target == rhs, witness)
+    return _decomposition("dic2-decompose", lucas.name, (m, q, r), l(m * q + r), l(m), correction)
 
 
 def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
@@ -169,11 +174,7 @@ def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
         raise ValueError("need r >= 1")
     l = sequence(lucas).term
     correction = lucas.g ** (2 ** (n - 1) * r) * lucas.p0.leading
-    target = l(2 ** n * r)
-    witness = exact_div(target - correction, l(r))
-    rhs = l(r) * witness + correction if witness is not None else correction
-    return IdentityReport("dic2-pow2", lucas.name, (n, r), target, rhs,
-                          witness is not None and target == rhs, witness)
+    return _decomposition("dic2-pow2", lucas.name, (n, r), l(2 ** n * r), l(r), correction)
 
 
 def divides_iff(fib: Family, m: int, n: int) -> IdentityReport:
@@ -208,11 +209,7 @@ def odd_divisor_divides(lucas: Family, m: int, q: int) -> IdentityReport:
     if q < 1 or q % 2 == 0 or m % q != 0:
         raise ValueError("q must be an odd divisor of m")
     l = sequence(lucas).term
-    target = l(m)
-    witness = exact_div(target, l(m // q))
-    rhs = l(m // q) * witness if witness is not None else ZERO
-    return IdentityReport("odd-divisor", lucas.name, (m, q), target, rhs,
-                          witness is not None, witness)
+    return _decomposition("odd-divisor", lucas.name, (m, q), l(m), l(m // q))
 
 
 def neighbor_gcd(family: Family, m: int, n: int) -> IdentityReport:

@@ -125,10 +125,9 @@ class Poly:
         """self divided by its content, sign-fixed to a positive leading coefficient."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no primitive part")
-        c = self.content()
-        if self.leading < 0:
-            c = -c
-        return Poly(x // c for x in self.coeffs)
+        r = list(self.coeffs)
+        _make_primitive(r)
+        return Poly(r)
 
     def normalized(self) -> Poly:
         """Sign-canonical form: leading coefficient made positive. Content is kept."""

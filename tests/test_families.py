@@ -20,6 +20,7 @@ from gfpoly import families
 from gfpoly.families import (
     BUILTIN,
     PARTNER,
+    VALID,
     Family,
     Kind,
     NoValidEquivalentError,
@@ -83,6 +84,9 @@ class TestRegistry:
         assert len(PARTNER) == 14
         assert all(PARTNER[PARTNER[name]] == name for name in PARTNER)
         assert "pell-lucas" not in PARTNER
+
+    def test_valid_is_the_registry_minus_pell_lucas_in_order(self):
+        assert VALID == tuple(f for name, f in BUILTIN.items() if name != "pell-lucas")
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
@@ -173,6 +177,26 @@ class TestAlphaAndDiscriminant:
     def test_equivalent_pair_shares_discriminant(self):
         for fib_name, lucas_name in [("fibonacci", "lucas"), ("fermat", "fermat-lucas")]:
             assert builtin_family(fib_name).discriminant() == builtin_family(lucas_name).discriminant()
+
+
+class TestIsEquivalent:
+    def test_opposite_kind_over_the_same_recurrence(self):
+        fib, lucas = builtin_family("fibonacci"), builtin_family("lucas")
+        assert fib.is_equivalent(lucas) and lucas.is_equivalent(fib)
+
+    def test_same_kind_is_not_equivalent(self):
+        fib = builtin_family("fibonacci")
+        assert not fib.is_equivalent(fib)
+        assert not builtin_family("pell-lucas").is_equivalent(builtin_family("pell-lucas-prime"))
+
+    def test_other_d_or_g_is_not_equivalent(self):
+        fib = builtin_family("fibonacci")
+        assert not fib.is_equivalent(builtin_family("pell-lucas-prime"))    # other d
+        assert not builtin_family("pell").is_equivalent(builtin_family("chebyshev1"))  # other g
+
+    def test_initial_values_and_names_do_not_matter(self):
+        odd = Family("odd", Kind.LUCAS, X, ONE, Poly([-1]), Poly([0, -1]))
+        assert builtin_family("fibonacci").is_equivalent(odd)
 
 
 class TestEquivalentFamily:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfpoly import identities
 from gfpoly.families import NotEquivalentError, builtin_family, sequence
 from gfpoly.identities import (
     IDENTITY_GROUPS,
@@ -261,6 +262,16 @@ class TestOddDivisor:
             odd_divisor_divides(LUC, 0, 1)
         with pytest.raises(ValueError):
             odd_divisor_divides(FIB, 6, 3)
+
+
+class TestWitnessRule:
+    def test_wrong_witness_fails_every_witness_identity(self, monkeypatch):
+        # A witness must re-multiply to the target; finding one is not enough.
+        monkeypatch.setattr(identities, "exact_div", lambda num, den: ONE)
+        reports = [decompose_mod_gm(LUC, 3, 2, 1), decompose_pow2(LUC, 2, 3), odd_divisor_divides(LUC, 9, 3)]
+        for report in reports:
+            assert report.witness == ONE
+            assert report.passed is False, report.identity_id
 
 
 class TestNeighborGcd:
