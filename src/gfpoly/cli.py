@@ -50,7 +50,7 @@ def _resolve_family(text: str) -> Family:
     if text.lstrip().startswith("{"):
         try:
             family = Family.from_json(json.loads(text))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise UsageError(f"bad family JSON: {exc}") from None
     else:
         try:
@@ -273,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython >= 3.10.7 caps int <-> str at 4,300 digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -40,6 +40,10 @@ def gfp_process(*argv: str, **popen_args) -> subprocess.Popen:
     )
 
 
+class RawJSON(str):
+    """JSON text spliced into an inline family as it is."""
+
+
 class TestFamilies:
     def test_lists_valid_builtins(self, capsys):
         status, out, err = run_cli(capsys, "families")
@@ -139,13 +143,30 @@ class TestTerm:
         ("d", [1.7, 1]),        # used to be truncated to x + 1
         ("d", "12"),            # used to be read digit by digit as 2x + 1
         ("d", [True, 1]),
+        # json.loads raises RecursionError: used to crash with a traceback
+        pytest.param("name", RawJSON("[" * 5000 + "]" * 5000), id="name-nested"),
     ])
     def test_inline_json_with_wrong_types_is_refused(self, capsys, field, value):
-        family = json.dumps({**json.loads(FIB_JSON), field: value})
+        raw = value if isinstance(value, RawJSON) else json.dumps(value)
+        family = json.dumps({**json.loads(FIB_JSON), field: None}).replace(f'"{field}": null', f'"{field}": {raw}')
         for argv in (("term", family, "5"), ("gcd", family, "3", "fibonacci", "6")):
             status, out, err = run_cli(capsys, *argv)
             assert status == 2 and out == ""
             assert err.startswith("gfp: bad family JSON: ") and err.count("\n") == 1
+
+    def test_huge_coefficients_are_printed_in_full(self):
+        # F[1100] leads with 10000^1099 = 10^4396, past the 4,300 digits that
+        # CPython >= 3.10.7 converts to str by default.
+        big = json.dumps({"name": "big", "kind": "fibonacci", "d": ["0", "10000"], "g": ["1"], "p0": [], "p1": ["1"]})
+        lead = "1" + "0" * 4396
+        for argv in (("term", big, "1100"), ("term", big, "1100", "--json"), ("gcd", big, "1100", big, "2200")):
+            proc = gfp_process(*argv)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0 and err == "", err[-300:]
+            if "--json" in argv:
+                assert json.loads(out)["coeffs"][-1] == lead
+            else:
+                assert (lead + "x^1099 + ") in out
 
     def test_non_integer_index_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
