@@ -179,7 +179,6 @@ BUILTIN: dict[str, Family] = {
 
 VALID: tuple[Family, ...] = tuple(f for f in BUILTIN.values() if f.is_valid)
 
-# Equivalent partners among the valid built-ins.
 PARTNER: dict[str, str] = {a.name: b.name for a in VALID for b in VALID if a.is_equivalent(b)}
 
 

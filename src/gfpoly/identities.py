@@ -64,9 +64,9 @@ def _equation(identity_id: str, family: str, params: tuple[int, ...],
 
 def _decomposition(identity_id: str, family: str, params: tuple[int, ...],
                    target: Poly, divisor: Poly, correction: Poly = ZERO) -> IdentityReport:
-    """target = divisor * witness + correction, the witness found by exact
-    division and re-multiplied into rhs: pass means it exists and rhs is
-    target bit for bit."""
+    """Check target = divisor * witness + correction.  The witness comes from
+    exact division and is re-multiplied into rhs, so pass means it exists
+    and rhs equals target bit for bit."""
     witness = exact_div(target - correction, divisor)
     rhs = divisor * witness + correction if witness is not None else correction
     return IdentityReport(identity_id, family, params, target, rhs, witness is not None and target == rhs, witness)

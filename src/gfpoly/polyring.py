@@ -136,7 +136,7 @@ class Poly:
         return -self
 
     def to_json(self) -> list[str]:
-        """Ascending decimal strings; past 4,300 digits needs sys.set_int_max_str_digits(0)."""
+        """Ascending coefficients as decimal strings; over 4,300 digits needs sys.set_int_max_str_digits(0)."""
         return [str(c) for c in self.coeffs]
 
     @classmethod

@@ -191,7 +191,7 @@ class TestIsEquivalent:
 
     def test_other_d_or_g_is_not_equivalent(self):
         fib = builtin_family("fibonacci")
-        assert not fib.is_equivalent(builtin_family("pell-lucas-prime"))    # other d
+        assert not fib.is_equivalent(builtin_family("pell-lucas-prime"))  # other d
         assert not builtin_family("pell").is_equivalent(builtin_family("chebyshev1"))  # other g
 
     def test_initial_values_and_names_do_not_matter(self):
