@@ -219,9 +219,10 @@ def equivalent_family(family: Family) -> Family:
     )
 
 
-# Terms 0..RETAINED stay cached; past it a cache keeps two terms only.  It
-# must cover the indices the identity catalog revisits out of order
-# (verify --max-index 14 reaches 210).
+# Terms and powers of g 0..RETAINED stay cached; past it a cache keeps two
+# terms and no powers.  It must cover the indices and exponents the
+# identity catalog revisits out of order (verify --max-index 14 reaches
+# term 210 and g ** 98).
 RETAINED = 256
 
 
@@ -261,13 +262,29 @@ class SequenceCache:
     callers that revisit small indices in any order.  A request behind the
     tail restarts it from the end of the prefix.  Memory is the prefix plus
     two terms at any index, so every index the CLI accepts, up to its
-    MAX_TERM_INDEX, finishes.
+    MAX_TERM_INDEX, finishes.  The powers of g have a table of their own,
+    bounded by RETAINED in the same way.
     """
 
     def __init__(self, family: Family):
         self._d, self._g = family.d.coeffs, family.g.coeffs
         self._prefix = [family.p0, family.p1]
         self._tail = (1, family.p0, family.p1)
+        self._g_powers = [ONE]
+
+    def g_power(self, e: int) -> Poly:
+        """g ** e.  Exponents up to RETAINED are kept, each power one
+        multiplication from the one below; a larger one is not stored."""
+        if e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        powers = self._g_powers
+        if e >= len(powers):
+            g = Poly(self._g)
+            if e > RETAINED:
+                return g ** e
+            while len(powers) <= e:
+                powers.append(powers[-1] * g)
+        return powers[e]
 
     def term(self, n: int) -> Poly:
         if n < 0:

@@ -87,9 +87,10 @@ def check_addition_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple[Ide
     label = require_pair(fib, lucas, "check_addition_laws")
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
-    f, l = sequence(fib).term, sequence(lucas).term
+    seq = sequence(fib)
+    f, l = seq.term, sequence(lucas).term
     alpha = lucas.alpha()
-    swing = (-fib.g) ** m * f(n - m)
+    swing = seq.g_power(m) * f(n - m) * (-1) ** m
     lhs = f(n + m)
     minus = _equation("addition-minus", label, (m, n), lhs, f(n) * l(m) * alpha - swing)
     plus = _equation("addition-plus", label, (m, n), lhs, f(m) * l(n) * alpha + swing)
@@ -101,9 +102,10 @@ def check_addition_cross(fib: Family, lucas: Family, m: int, n: int) -> Identity
     label = require_pair(fib, lucas, "check_addition_cross")
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
-    f, l = sequence(fib).term, sequence(lucas).term
+    seq = sequence(fib)
+    f, l = seq.term, sequence(lucas).term
     alpha = lucas.alpha()
-    lhs = (-fib.g) ** m * f(n - m) * 2
+    lhs = seq.g_power(m) * f(n - m) * (2 * (-1) ** m)
     rhs = (f(n) * l(m) - f(m) * l(n)) * alpha
     return _equation("addition-cross", label, (m, n), lhs, rhs)
 
@@ -115,15 +117,16 @@ def check_discriminant_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple
     f, l = sequence(fib).term, sequence(lucas).term
     alpha = lucas.alpha()
     a2 = alpha * alpha
+    outer, inner = l(m + 1) * l(n + 1), l(m) * l(n)
     first = _equation(
         "discriminant-fib", label, (m, n),
         fib.discriminant() * f(m + n + 1),
-        l(m + 1) * l(n + 1) * a2 + lucas.g * l(m) * l(n) * a2,
+        outer * a2 + lucas.g * inner * a2,
     )
     second = _equation(
         "discriminant-lucas", label, (m, n),
         l(m + n + 2),
-        l(m + 1) * l(n + 1) * alpha + lucas.g * (l(m) * l(n) * alpha - l(m + n)),
+        outer * alpha + lucas.g * (inner * alpha - l(m + n)),
     )
     return first, second
 
@@ -132,10 +135,11 @@ def check_lucas_addition(lucas: Family, m: int, n: int) -> IdentityReport:
     require_kind(lucas, Kind.LUCAS, "check_lucas_addition")
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
-    l = sequence(lucas).term
+    seq = sequence(lucas)
+    l = seq.term
     alpha = lucas.alpha()
     sign = -1 if m % 2 == 0 else 1
-    rhs = l(m) * l(n) * alpha + lucas.g ** m * l(n - m) * sign
+    rhs = l(m) * l(n) * alpha + seq.g_power(m) * l(n - m) * sign
     return _equation("lucas-addition", lucas.name, (m, n), l(m + n), rhs)
 
 
@@ -151,14 +155,15 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
         raise ValueError("need m >= 1, q >= 1, r >= 0")
     if r >= m:
         raise ValueError("need r < m")
-    l = sequence(lucas).term
+    seq = sequence(lucas)
+    l = seq.term
     t = (q + 1) // 2
     if q % 2 == 1:
         sign = -1 if (m * (t - 1) + t + r) % 2 else 1
-        correction = lucas.g ** ((t - 1) * m + r) * l(m - r) * sign
+        correction = seq.g_power((t - 1) * m + r) * l(m - r) * sign
     else:
         sign = -1 if ((m + 1) * t) % 2 else 1
-        correction = lucas.g ** (m * t) * l(r) * sign
+        correction = seq.g_power(m * t) * l(r) * sign
     return _decomposition("dic2-decompose", lucas.name, (m, q, r), l(m * q + r), l(m), correction)
 
 
@@ -172,8 +177,9 @@ def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
         raise ValueError("need n >= 2")
     if r < 1:
         raise ValueError("need r >= 1")
-    l = sequence(lucas).term
-    correction = lucas.g ** (2 ** (n - 1) * r) * lucas.p0.leading
+    seq = sequence(lucas)
+    l = seq.term
+    correction = seq.g_power(2 ** (n - 1) * r) * lucas.p0.leading
     return _decomposition("dic2-pow2", lucas.name, (n, r), l(2 ** n * r), l(r), correction)
 
 
@@ -240,13 +246,10 @@ def mixed_shift_gcd(fib: Family, lucas: Family, m: int, n: int) -> list[Identity
     require_positive(m, n)
     f, l = sequence(fib).term, sequence(lucas).term
     ln = l(n)
-    reports = [
-        _equation("mixed-shift-1", label, (m, n),
-                  poly_gcd_z(f(m + n + 1), ln), poly_gcd_z(l(m + 1), ln))
-    ]
+    up = poly_gcd_z(l(m + 1), ln)  # parts 1 and 2 share it
+    reports = [_equation("mixed-shift-1", label, (m, n), poly_gcd_z(f(m + n + 1), ln), up)]
     if m > n:
-        reports.append(_equation("mixed-shift-2", label, (m, n),
-                                 poly_gcd_z(f(m - n + 1), ln), poly_gcd_z(l(m + 1), ln)))
+        reports.append(_equation("mixed-shift-2", label, (m, n), poly_gcd_z(f(m - n + 1), ln), up))
     elif m < n:
         reports.append(_equation("mixed-shift-3", label, (m, n),
                                  poly_gcd_z(f(n - m + 1), ln), poly_gcd_z(l(m - 1), ln)))

@@ -84,10 +84,11 @@ class Poly:
         if self.is_zero or other.is_zero:
             return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 out[i + j] += a * b
         return Poly(out)
 
@@ -231,6 +232,7 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
     if dn < dd:
         return None
     lead = den.coeffs[-1]
+    terms = [(i, dc) for i, dc in enumerate(den.coeffs) if dc]
     rem = list(num.coeffs)
     quo = [0] * (dn - dd + 1)
     for k in range(dn - dd, -1, -1):
@@ -241,7 +243,7 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
         if leftover:
             return None
         quo[k] = c
-        for i, dc in enumerate(den.coeffs):
+        for i, dc in terms:
             rem[k + i] -= c * dc
     if any(rem[:dd]):
         return None

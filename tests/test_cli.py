@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import gfpoly
-from gfpoly.cli import main
+from gfpoly import gcd_theorems
+from gfpoly.cli import TABLE_ROWS, main
 from gfpoly.polyring import Poly
 
 FIB_JSON = json.dumps({
@@ -343,6 +344,21 @@ class TestVerify:
         assert status == 2
         assert "no families" in err
 
+    def test_inline_json_family(self, capsys):
+        # The spec is one family, commas of its JSON included.
+        neg = json.dumps({"name": "neg", "kind": "lucas", "d": ["0", "1"], "g": ["1"],
+                          "p0": ["-2"], "p1": ["0", "-1"]})
+        status, out, err = run_cli(capsys, "verify", "--families", neg, "--max-index", "6", "--json")
+        assert (status, err) == (0, "")
+        reports = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert {r["family"] for r in reports} >= {"neg", "neg.fib/neg"}
+        assert all(r["pass"] for r in reports)
+
+    def test_malformed_inline_json_family(self, capsys):
+        status, out, err = run_cli(capsys, "verify", "--families", '{"name": "neg", "kind"}')
+        assert (status, out) == (2, "")
+        assert err.startswith("gfp: bad family JSON: ")
+
 
 class TestTable:
     def test_table3_text(self, capsys):
@@ -375,6 +391,19 @@ class TestTable:
             assert row["agree"] == row["total"] == 25
             assert set(row["cases"]) <= {"MixedDominant", "MixedOtherwise"}
             assert row["cases"]["MixedDominant"] > 0
+
+    @pytest.mark.parametrize("table, per_row", [(3, 6 * 7 // 2), (4, 6 * 7 // 2), (5, 6 * 6)])
+    def test_oracle_runs_once_per_unordered_pair_of_one_family(self, capsys, monkeypatch, table, per_row):
+        # Tables 3 and 4 reuse the oracle of (n, m) at (m, n); table 5 pairs two families.
+        calls = []
+        oracle_gcd = gcd_theorems.oracle_gcd
+        monkeypatch.setattr(gcd_theorems, "oracle_gcd", lambda *args: calls.append(args) or oracle_gcd(*args))
+        status, out, _ = run_cli(capsys, "table", str(table), "--max-index", "6", "--json")
+        assert status == 0
+        assert all(json.loads(line)["agree"] == 36 for line in out.splitlines())
+        assert len(calls) == per_row * len(TABLE_ROWS)
+        if table != 5:
+            assert all(m <= n for _, _, m, n in calls)
 
     def test_max_index_cap(self, capsys):
         status, _, err = run_cli(capsys, "table", "3", "--max-index", "65")

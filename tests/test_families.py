@@ -386,6 +386,33 @@ class TestRetainedPrefixAndTail:
         assert len(families._CACHES) == 1
 
 
+class TestGPower:
+    """SequenceCache.g_power against Poly.__pow__, across the end of its table."""
+
+    FAMILIES = [*BUILTIN.values(), *(f for seed in range(4) for f in random_pair(random.Random(seed), "r"))]
+
+    @pytest.mark.parametrize("retained", [0, 1, 6])
+    def test_matches_pow_below_at_and_past_retained(self, retained):
+        with mock.patch.object(families, "RETAINED", retained):
+            for family in self.FAMILIES:
+                cache = SequenceCache(family)
+                for e in (retained + 3, retained, 0, retained + 1, 1, retained // 2, retained):
+                    assert cache.g_power(e) == family.g ** e, (family.name, e)
+                    assert len(cache._g_powers) <= retained + 1
+
+    def test_table_fills_to_retained_and_stops(self):
+        with mock.patch.object(families, "RETAINED", 6):
+            cache = SequenceCache(builtin_family("fermat"))
+            cache.g_power(40)
+            assert len(cache._g_powers) == 1
+            cache.g_power(6)
+            assert len(cache._g_powers) == 7
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            SequenceCache(builtin_family("fermat")).g_power(-1)
+
+
 class TestCoprimalitySweeps:
     # Terms must stay coprime to g, and d-gcds alternate with parity.
 

@@ -28,6 +28,19 @@ from gfpoly.polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
 coeffs = st.lists(st.integers(-40, 40), max_size=7)
 polys = st.builds(Poly, coeffs)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+# Mostly zeros, as in the terms of families whose d is a multiple of x:
+# mul and exact_div skip the zero coefficients of their inner operand.
+sparse_polys = st.builds(Poly, st.lists(st.one_of(st.just(0), st.just(0), st.integers(-40, 40)), max_size=30))
+nonzero_sparse_polys = sparse_polys.filter(lambda p: not p.is_zero)
+
+
+def reference_mul(p: Poly, q: Poly) -> Poly:
+    # Every pair of coefficients, zeros included.
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
 
 
 def reference_div(num: Poly, den: Poly) -> Poly | None:
@@ -278,6 +291,26 @@ class TestExactDiv:
     @given(polys, nonzero_polys)
     def test_product_division_roundtrip(self, p, q):
         assert exact_div(p * q, q) == p
+
+
+class TestSparseOperands:
+    @settings(max_examples=300)
+    @given(sparse_polys, sparse_polys)
+    def test_mul_matches_reference(self, p, q):
+        assert p * q == reference_mul(p, q)
+
+    @settings(max_examples=300)
+    @given(sparse_polys, nonzero_sparse_polys)
+    @example(Poly([0, 0, 1]), Poly([2, 0, 0, 0, 1]))  # degree too low: None
+    @example(Poly([0, 0, 0, 0, 2, 0, 0, 0, 1]), Poly([0, 0, 0, 0, 2]))  # quotient 1 + x^4/2: None
+    def test_exact_div_matches_reference(self, num, den):
+        assert exact_div(num, den) == reference_div(num, den)
+
+    @given(sparse_polys, nonzero_sparse_polys, sparse_polys)
+    def test_exact_div_of_a_product(self, p, q, r):
+        assert exact_div(p * q, q) == p
+        rest = Poly(r.coeffs[:q.degree])  # a remainder of degree below q's
+        assert exact_div(p * q + rest, q) == (p if rest.is_zero else None)
 
 
 class TestGcd:
