@@ -182,10 +182,6 @@ VALID: tuple[Family, ...] = tuple(f for f in BUILTIN.values() if f.is_valid)
 PARTNER: dict[str, str] = {a.name: b.name for a in VALID for b in VALID if a.is_equivalent(b)}
 
 
-def builtin_names() -> list[str]:
-    return list(BUILTIN)
-
-
 def builtin_family(name: str) -> Family:
     try:
         return BUILTIN[name]
@@ -319,27 +315,22 @@ def sequence(family: Family) -> SequenceCache:
     return cache
 
 
-def random_pair(rng: random.Random, name: str, max_degree: int = 3, coeff_bound: int = 5) -> tuple[Family, Family]:
+def random_pair(rng: random.Random, name: str) -> tuple[Family, Family]:
     """A random valid Fibonacci-type family and its Lucas-type partner.
 
-    d and g are drawn with degree at most max_degree and coefficients in
-    [-coeff_bound, coeff_bound], then rejection-sampled until the pair of
-    families validates.  Draws where d and g are both constants are
-    rejected too: they give integer sequences, for which the polynomial
-    theorems do not hold (d = 1, g = -2 has F[4] = F[8] = -3).
+    d and g are drawn with degree at most 3 and coefficients in [-5, 5],
+    then rejection-sampled until the Fibonacci-type family validates; its
+    partner then always exists (see equivalent_family).  Draws where d and
+    g are both constants are rejected too: they give integer sequences, for
+    which the polynomial theorems do not hold (d = 1, g = -2 has
+    F[4] = F[8] = -3).
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
 
     def draw() -> Poly:
-        degree = rng.randint(0, max_degree)
-        return Poly(rng.randint(-coeff_bound, coeff_bound) for _ in range(degree + 1))
+        degree = rng.randint(0, 3)
+        return Poly(rng.randint(-5, 5) for _ in range(degree + 1))
 
     while True:
         fib = _fib(name, draw(), draw())
-        if not fib.is_valid or (fib.d.degree == 0 and fib.g.degree == 0):
-            continue
-        try:
+        if fib.is_valid and not (fib.d.degree == 0 and fib.g.degree == 0):
             return fib, equivalent_family(fib)
-        except NoValidEquivalentError:
-            continue

@@ -57,9 +57,8 @@ class IdentityReport:
         return data
 
 
-def _equation(identity_id: str, family: str, params: tuple[int, ...],
-              lhs: Poly, rhs: Poly, witness: Poly | None = None) -> IdentityReport:
-    return IdentityReport(identity_id, family, params, lhs, rhs, lhs == rhs, witness)
+def _equation(identity_id: str, family: str, params: tuple[int, ...], lhs: Poly, rhs: Poly) -> IdentityReport:
+    return IdentityReport(identity_id, family, params, lhs, rhs, lhs == rhs)
 
 
 def _decomposition(identity_id: str, family: str, params: tuple[int, ...],

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True, init=False)
@@ -56,9 +56,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return not self.is_zero
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
 
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
@@ -174,38 +171,7 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
 
-    @classmethod
-    def parse(cls, text: str) -> Poly:
-        """Inverse of str(): round-trips bit-exactly.
 
-        Terms are INT, INTx^INT, x^INT, or the power-1/coefficient-1
-        shorthands, joined by + or -.  Whitespace is allowed only around
-        the joining signs.
-
-        >>> Poly.parse("8x^3 + 12x^2 + 12x + 4")
-        Poly('8x^3 + 12x^2 + 12x + 4')
-        >>> Poly.parse("-x^2 + 3")
-        Poly('-x^2 + 3')
-        """
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial text")
-        # "x - 2" splits to ["", "+", "x", "-", "2"]: (sign, term) pairs.
-        parts = _SIGN_RE.split(s if s[0] in "+-" else "+" + s)
-        acc: dict[int, int] = {}
-        for sign, term in zip(parts[1::2], parts[2::2]):
-            m = term and _TERM_RE.fullmatch(term)
-            if not m:
-                raise ValueError(f"bad polynomial syntax near {term!r}")
-            num, xpart, exp = m.groups()
-            e = 0 if xpart is None else (1 if exp is None else int(exp))
-            coeff = int(num) if num is not None else 1
-            acc[e] = acc.get(e, 0) + (-coeff if sign == "-" else coeff)
-        return cls(acc.get(e, 0) for e in range(max(acc) + 1))
-
-
-_SIGN_RE = re.compile(r"\s*([+-])\s*")
-_TERM_RE = re.compile(r"(\d+)?(x(?:\^(\d+))?)?")
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 ZERO = Poly()

@@ -17,7 +17,7 @@ import pytest
 import gfpoly
 from gfpoly import gcd_theorems
 from gfpoly.cli import TABLE_ROWS, main
-from gfpoly.polyring import Poly
+from polytext import reference_parse
 
 FIB_JSON = json.dumps({
     "name": "custom-fib", "kind": "fibonacci",
@@ -111,7 +111,7 @@ class TestTerm:
         a, b = 0, 1
         for _ in range(4000):
             a, b = b, a + b
-        assert Poly.parse(out).eval_at(1) == a
+        assert reference_parse(out).eval_at(1) == a
 
     def test_unknown_family(self, capsys):
         status, _, err = run_cli(capsys, "term", "tribonacci", "3")

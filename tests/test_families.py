@@ -13,9 +13,10 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gfpoly
 from gfpoly import families
 from gfpoly.families import (
     BUILTIN,
@@ -27,7 +28,6 @@ from gfpoly.families import (
     SequenceCache,
     UnknownFamilyError,
     builtin_family,
-    builtin_names,
     equivalent_family,
     random_pair,
     sequence,
@@ -43,7 +43,7 @@ LUCAS_BUILTINS = ["lucas", "pell-lucas-prime", "fermat-lucas", "chebyshev1",
 
 class TestRegistry:
     def test_names(self):
-        assert set(builtin_names()) == set(FIB_BUILTINS) | set(LUCAS_BUILTINS) | {"pell-lucas"}
+        assert set(BUILTIN) == set(FIB_BUILTINS) | set(LUCAS_BUILTINS) | {"pell-lucas"}
         assert len(BUILTIN) == 15
 
     def test_frozen_parameters(self):
@@ -98,6 +98,15 @@ class TestRegistry:
                 assert not family.is_valid
             else:
                 assert family.is_valid, (name, family.violations())
+
+
+class TestPublicNamespace:
+    def test_all_has_no_duplicates(self):
+        assert len(gfpoly.__all__) == len(set(gfpoly.__all__))
+
+    def test_every_export_resolves(self):
+        for name in gfpoly.__all__:
+            assert hasattr(gfpoly, name), name
 
 
 class TestValidation:
@@ -199,6 +208,9 @@ class TestIsEquivalent:
         assert builtin_family("fibonacci").is_equivalent(odd)
 
 
+small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(Poly)
+
+
 class TestEquivalentFamily:
     def test_builtin_pairs_resolve_to_registry(self):
         for fib_name, lucas_name in [
@@ -249,6 +261,17 @@ class TestEquivalentFamily:
         partner = equivalent_family(f)
         assert partner.kind is Kind.FIBONACCI
         assert (partner.d, partner.g) == (X, ONE)
+
+    @settings(max_examples=200)
+    @given(small_polys, small_polys)
+    def test_every_valid_fibonacci_family_has_a_partner(self, d, g):
+        # content(d) odd: p0 = 2, p1 = d; even: p0 = 1, p1 = d / 2.
+        f = Family("drawn", Kind.FIBONACCI, d, g, ZERO, ONE)
+        assume(f.is_valid)
+        partner = equivalent_family(f)
+        assert partner.kind is Kind.LUCAS and partner.is_valid
+        assert (partner.d, partner.g) == (d, g)
+        assert (partner.p0 == Poly([2])) == (d.content() % 2 == 1)
 
     def test_invalid_input_has_no_partner(self):
         broken = Family("broken", Kind.FIBONACCI, ZERO, ZERO, ZERO, ONE)
@@ -495,7 +518,3 @@ class TestRandomPair:
         for i in range(400):
             fib, _ = random_pair(rng, f"r{i}")
             assert fib.d.degree > 0 or fib.g.degree > 0
-
-    def test_max_degree_zero_is_refused(self):
-        with pytest.raises(ValueError):
-            random_pair(random.Random(0), "r", max_degree=0)

@@ -7,23 +7,23 @@ suites elsewhere lean on it as the oracle, so it gets the heaviest
 property coverage here.  Its heuristic path is checked against a
 Poly-based primitive remainder sequence and, when sympy is installed,
 against sympy; its fallback path reruns the gcd laws with the heuristic
-switched off.  Poly.parse is checked against a position scanner written
-independently of its sign split.
+switched off.  str is checked to be injective by reading its output back
+with the position scanner in polytext.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfpoly import polyring
 from gfpoly.families import BUILTIN, sequence
 from gfpoly.polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
+from polytext import reference_parse
 
 coeffs = st.lists(st.integers(-40, 40), max_size=7)
 polys = st.builds(Poly, coeffs)
@@ -95,60 +95,6 @@ def reference_gcd(p: Poly, q: Poly) -> Poly:
         r = _pseudo_rem(a, b)
         a, b = b, (r.primitive_part() if not r.is_zero else ZERO)
     return a * c
-
-
-_REF_TERM_RE = re.compile(r"(\d+)?(x(?:\^(\d+))?)?")
-
-
-def reference_parse(text: str) -> Poly:
-    # Position scanner: a sign, a term matched at the position, then a
-    # whitespace gap that must end in a sign.  Independent of Poly.parse.
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial text")
-    acc: dict[int, int] = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-            while pos < len(s) and s[pos].isspace():
-                pos += 1
-        elif not first:
-            raise ValueError(f"missing sign before {s[pos:]!r}")
-        m = _REF_TERM_RE.match(s, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
-        num, xpart, exp = m.groups()
-        coeff = sign * (int(num) if num is not None else 1)
-        e = 0 if xpart is None else (1 if exp is None else int(exp))
-        acc[e] = acc.get(e, 0) + coeff
-        pos = m.end()
-        first = False
-        gap = pos
-        while gap < len(s) and s[gap].isspace():
-            gap += 1
-        if gap > pos and gap < len(s) and s[gap] not in "+-":
-            raise ValueError(f"bad polynomial syntax near {s[pos:]!r}")
-        pos = gap
-    out = [0] * (max(acc) + 1)
-    for e, c in acc.items():
-        out[e] = c
-    return Poly(out)
-
-
-# Short texts for the parser: the format's own characters, whitespace that
-# str.strip and \s accept beyond ASCII, and decimal digits of other scripts
-# that \d and int() accept.  Token joins reach well-formed input more often.
-_PARSE_ALPHABET = "0123456789x^+- \t\x1c\x85\xa0\u0661\u0e53\uff17"
-_PARSE_TOKENS = ["x", "x^", "^", "+", "-", " ", "\t", "\x1c", "\x85", "\xa0",
-                 "0", "1", "7", "12", "3x", "x^2", "\u0661", "\uff17"]
-parse_texts = st.one_of(
-    st.text(_PARSE_ALPHABET, max_size=12),
-    st.lists(st.sampled_from(_PARSE_TOKENS), max_size=8).map("".join),
-)
 
 
 class TestRepresentation:
@@ -478,41 +424,9 @@ class TestTextFormat:
         assert str(Poly([0, -1])) == "-x"
         assert str(Poly([0, 0, -3])) == "-3x^2"
 
-    def test_parse_frozen_strings(self):
-        assert Poly.parse("8x^3 + 12x^2 + 12x + 4") == Poly([4, 12, 12, 8])
-        assert Poly.parse("9x^2 - 2") == Poly([-2, 0, 9])
-        assert Poly.parse("0") == ZERO
-        assert Poly.parse("-x") == Poly([0, -1])
-        assert Poly.parse("x^2+1") == Poly([1, 0, 1])
-        assert Poly.parse("+3") == Poly([3])
-
-    def test_parse_merges_repeated_powers(self):
-        assert Poly.parse("x + x") == Poly([0, 2])
-        assert Poly.parse("x - x") == ZERO
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("", "x^", "2y", "1 2", "x**2", "3 +", "^2"):
-            with pytest.raises(ValueError):
-                Poly.parse(bad)
-
-    @settings(max_examples=500)
-    @given(parse_texts)
-    @example("x^2 \x85+\xa01")
-    @example("\u0661x^\uff17 -\x1cx")
-    @example("- x + 1 2")
-    def test_parse_matches_reference(self, text):
-        assume(not re.search(r"\^\d{4}", text))  # x^EXP allocates EXP + 1 slots
-        try:
-            expected = reference_parse(text)
-        except ValueError:
-            with pytest.raises(ValueError):
-                Poly.parse(text)
-        else:
-            assert Poly.parse(text) == expected
-
     @given(polys)
     def test_text_roundtrip_is_bit_exact(self, p):
-        assert Poly.parse(str(p)) == p
+        assert reference_parse(str(p)) == p
 
     @given(polys)
     def test_json_roundtrip_is_bit_exact(self, p):
