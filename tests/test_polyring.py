@@ -424,6 +424,25 @@ class TestTextFormat:
         assert str(Poly([0, -1])) == "-x"
         assert str(Poly([0, 0, -3])) == "-3x^2"
 
+    # The scanner in polytext reads printed terms back in the other tests,
+    # so its own reading of the format is pinned here.
+    def test_parse_frozen_strings(self):
+        assert reference_parse("8x^3 + 12x^2 + 12x + 4") == Poly([4, 12, 12, 8])
+        assert reference_parse("9x^2 - 2") == Poly([-2, 0, 9])
+        assert reference_parse("0") == ZERO
+        assert reference_parse("-x") == Poly([0, -1])
+        assert reference_parse("x^2+1") == Poly([1, 0, 1])
+        assert reference_parse("+3") == Poly([3])
+
+    def test_parse_merges_repeated_powers(self):
+        assert reference_parse("x + x") == Poly([0, 2])
+        assert reference_parse("x - x") == ZERO
+
+    def test_parse_rejects_garbage(self):
+        for bad in ("", "x^", "2y", "1 2", "x**2", "3 +", "^2"):
+            with pytest.raises(ValueError):
+                reference_parse(bad)
+
     @given(polys)
     def test_text_roundtrip_is_bit_exact(self, p):
         assert reference_parse(str(p)) == p
