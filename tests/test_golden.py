@@ -46,6 +46,9 @@ GOLDEN = [
      "fbec600d73f193102598138e4fd41f33cb4be510f8d8d00e790eb76977edffd4"),
     # 9.2 MB of JSON lines; only the digest is kept.
     (("verify", "--json"), 0, "0fdd8b082e5877a89b14dbee1aa9a48a965f73c4e49388b0291ddcafab10083c"),
+    # Reaches L[305], past the term cache's retained prefix, and pins every witness.
+    (("verify", "--identity", "dic2-decompose", "--families", "fibonacci", "--max-index", "17", "--json"), 0,
+     "d249113a243cbb0af47c2ec78aab95dd793ec07613ae8b6169a2b146c492d6a8"),
     (("table", "3", "--max-index", "24"), 0, "b30de34e24fc0ee23fbe14b9a236bbced6d6dff63d62ebdc0a6ba165d9170d5d"),
     (("table", "3", "--max-index", "24", "--json"), 0,
      "1ad7117ad8d5a98f2b2cc6abd0d97393991ed495bbd2b6681f37229f942f2765"),
