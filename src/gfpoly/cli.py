@@ -35,6 +35,7 @@ from .identities import IDENTITY_GROUPS, iter_reports
 from .polyring import ONE, Poly
 
 MAX_TERM_INDEX = 10_000
+MAX_RANDOM_PAIRS = 10_000  # verify builds every pair before it prints
 MAX_TABLE_INDEX = 64
 
 # Rows of tables 3-5: the six classical pairs, by their Fibonacci-type member.
@@ -140,6 +141,8 @@ def _verify_pairs(spec: str, seed: int) -> list[tuple[Family, Family]]:
             raise UsageError(f"bad family spec {spec!r}") from None
         if count < 1:
             raise UsageError("random family count must be positive")
+        if count > MAX_RANDOM_PAIRS:
+            raise UsageError(f"random family count {count} exceeds the cap of {MAX_RANDOM_PAIRS}")
         rng = random.Random(seed)
         return [random_pair(rng, f"random-{i:03d}") for i in range(count)]
     if spec.lstrip().startswith("{"):  # one inline family; its JSON has commas of its own

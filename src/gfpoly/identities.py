@@ -2,9 +2,13 @@
 
 Every check returns IdentityReport records carrying the compared values, a
 verdict, and (for the divisibility decompositions) a quotient witness that
-re-multiplies to the original term.  Families named F below are Fibonacci
-type, L are Lucas type; pair checks take an equivalent (F, L) pair sharing
-one recurrence (d, g) and use alpha = 2 / p0 of the Lucas side.
+re-multiplies to the original term.  Witnesses come from exact division,
+except in the dic2-decompose sweep, which builds each one from the
+witness two rows back by the Lucas addition law and divides only when
+that candidate does not re-multiply or its rows lie past the retained
+term prefix.  Families named F below are Fibonacci type, L are Lucas
+type; pair checks take an equivalent (F, L) pair sharing one recurrence
+(d, g) and use alpha = 2 / p0 of the Lucas side.
 
 Checked shapes, with all indices restricted as noted:
 
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
 
+from . import families
 from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
 from .polyring import ONE, ZERO, Poly, exact_div, poly_gcd_z
 
@@ -62,10 +67,18 @@ def _equation(identity_id: str, family: str, params: tuple[int, ...], lhs: Poly,
 
 
 def _decomposition(identity_id: str, family: str, params: tuple[int, ...],
-                   target: Poly, divisor: Poly, correction: Poly = ZERO) -> IdentityReport:
-    """Check target = divisor * witness + correction.  The witness comes from
-    exact division and is re-multiplied into rhs, so pass means it exists
-    and rhs equals target bit for bit."""
+                   target: Poly, divisor: Poly, correction: Poly = ZERO,
+                   candidate: Poly | None = None) -> IdentityReport:
+    """Check target = divisor * witness + correction.  The witness is
+    re-multiplied into rhs, so pass means it exists and rhs equals target
+    bit for bit.  A candidate witness that re-multiplies to target is taken
+    as it is; the quotient in Z[x] is unique, so it is the one division
+    would find.  Otherwise, or without a candidate, the witness comes from
+    exact division."""
+    if candidate is not None and not divisor.is_zero:
+        rhs = divisor * candidate + correction
+        if rhs == target:
+            return IdentityReport(identity_id, family, params, target, rhs, True, candidate)
     witness = exact_div(target - correction, divisor)
     rhs = divisor * witness + correction if witness is not None else correction
     return IdentityReport(identity_id, family, params, target, rhs, witness is not None and target == rhs, witness)
@@ -154,6 +167,10 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
         raise ValueError("need m >= 1, q >= 1, r >= 0")
     if r >= m:
         raise ValueError("need r < m")
+    return _decompose_mod_gm(lucas, m, q, r)
+
+
+def _decompose_mod_gm(lucas: Family, m: int, q: int, r: int, candidate: Poly | None = None) -> IdentityReport:
     seq = sequence(lucas)
     l = seq.term
     t = (q + 1) // 2
@@ -163,7 +180,7 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
     else:
         sign = -1 if ((m + 1) * t) % 2 else 1
         correction = seq.g_power(m * t) * l(r) * sign
-    return _decomposition("dic2-decompose", lucas.name, (m, q, r), l(m * q + r), l(m), correction)
+    return _decomposition("dic2-decompose", lucas.name, (m, q, r), l(m * q + r), l(m), correction, candidate)
 
 
 def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
@@ -283,9 +300,36 @@ def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
 
 def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
-    for m, q in product(range(1, k + 1), repeat=2):
-        for r in range(m):
-            yield decompose_mod_gm(lucas, m, q, r)
+    """Each witness comes from the addition law with n = m(q-1) + r:
+    T[q] = alpha L[m(q-1)+r] - (-g)^m T[q-2], with T[-1] = T[0] = 0.
+
+    Per m, the witnesses of rows q-1 and q-2 and the targets of row q-1
+    are held only while those targets lie in the retained term prefix.
+    Past it the rows are dropped and the points go through exact
+    division, so memory stays bounded.
+    """
+    seq = sequence(lucas)
+    alpha = lucas.alpha()
+    for m in range(1, k + 1):
+        swing = seq.g_power(m) * (-1) ** m
+        older = newer = [ZERO] * m
+        targets = [seq.term(r) for r in range(m)]
+        for q in range(1, k + 1):
+            keep = m * q + m - 1 <= families.RETAINED  # this row's targets reach L[mq+m-1]
+            witnesses, lhs = [], []
+            for r in range(m):
+                candidate = None
+                if targets is not None and older[r] is not None:
+                    candidate = targets[r] * alpha - older[r] * swing
+                report = _decompose_mod_gm(lucas, m, q, r, candidate)
+                if keep:
+                    witnesses.append(report.witness)
+                    lhs.append(report.lhs)
+                yield report
+            if keep:
+                older, newer, targets = newer, witnesses, lhs
+            else:
+                older = newer = targets = None
 
 
 def _sweep_dic2_pow2(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:

@@ -317,6 +317,20 @@ class TestVerify:
         status, _, err = run_cli(capsys, "verify", "--families", "random:0")
         assert status == 2
 
+    @pytest.mark.parametrize("count", ["10001", "99999999999"])
+    def test_random_count_is_capped(self, count):
+        # Past the cap, verify would build every pair before printing a line.
+        proc = gfp_process("verify", "--families", f"random:{count}", "--max-index", "1")
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
+        assert proc.returncode == 2
+        assert out == ""
+        assert err == f"gfp: random family count {count} exceeds the cap of 10000\n"
+
     def test_bad_max_index(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--max-index", "0")
         assert status == 2

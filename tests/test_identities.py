@@ -9,12 +9,15 @@ copied from lhs.
 
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfpoly import identities
-from gfpoly.families import NotEquivalentError, builtin_family, sequence
+from gfpoly import families, identities
+from gfpoly.families import Family, Kind, NotEquivalentError, builtin_family, random_pair, sequence
 from gfpoly.identities import (
     IDENTITY_GROUPS,
     IdentityReport,
@@ -272,6 +275,68 @@ class TestWitnessRule:
         for report in reports:
             assert report.witness == ONE
             assert report.passed is False, report.identity_id
+
+
+def counting_divisions():
+    """Patch identities.exact_div with a wrapper; the list grows per call."""
+    calls = []
+    real = identities.exact_div
+
+    def counted(num, den):
+        calls.append((num, den))
+        return real(num, den)
+
+    return mock.patch.object(identities, "exact_div", counted), calls
+
+
+def divided_points(reports, retained):
+    """Points whose row q-1 lies past the row bound m*q + m - 1 <= retained."""
+    points = (report.params for report in reports)
+    return sum(1 for m, q, _ in points if q > 1 and m * q - 1 > retained)
+
+
+class TestDecomposeSweep:
+    """The sweep takes each witness from the addition law; decompose_mod_gm
+    divides.  Every report must be the same, field for field."""
+
+    def test_builtin_pairs_match_division_without_dividing(self):
+        for fib_name, lucas_name in PAIRS:
+            fib, lucas = builtin_pair(fib_name, lucas_name)
+            patch, calls = counting_divisions()
+            with patch:
+                reports = list(iter_reports("dic2-decompose", fib, lucas, 10))
+            assert calls == [], fib_name
+            for report in reports:
+                assert report == decompose_mod_gm(lucas, *report.params), (fib_name, report.params)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 999), k=st.integers(1, 8), retained=st.integers(0, 40))
+    def test_random_pairs_match_division_across_the_row_bound(self, seed, k, retained):
+        fib, lucas = random_pair(random.Random(seed), "r")
+        patch, calls = counting_divisions()
+        with mock.patch.object(families, "RETAINED", retained), mock.patch.object(families, "_CACHES", {}):
+            with patch:
+                reports = list(iter_reports("dic2-decompose", fib, lucas, k))
+            # Inside the bound no point divides; past it each divides once.
+            assert len(calls) == divided_points(reports, retained)
+            for report in reports:
+                assert report.passed, report.params
+                assert report == decompose_mod_gm(lucas, *report.params), report.params
+
+    def test_failing_family_gets_the_division_reports(self):
+        # p1 = x + 1 breaks the addition law, so most points have no witness.
+        bent = Family("bent", Kind.LUCAS, Poly([0, 1]), ONE, Poly([2]), Poly([1, 1]))
+        reports = list(iter_reports("dic2-decompose", FIB, bent, 6))
+        assert any(report.witness is None for report in reports)
+        for report in reports:
+            assert report == decompose_mod_gm(bent, *report.params), report.params
+
+    @pytest.mark.parametrize("m, q, r", [(1, 1, 0), (3, 2, 1), (4, 5, 0), (5, 3, 4)])
+    def test_wrong_candidate_falls_back_to_division(self, m, q, r):
+        for candidate in (ONE, Poly([0, 1])):
+            got = identities._decompose_mod_gm(LUC, m, q, r, candidate)
+            assert got == decompose_mod_gm(LUC, m, q, r)
+            assert got.passed and got.witness != candidate
 
 
 class TestNeighborGcd:
