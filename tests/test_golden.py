@@ -49,6 +49,9 @@ GOLDEN = [
     # Reaches L[305], past the term cache's retained prefix, and pins every witness.
     (("verify", "--identity", "dic2-decompose", "--families", "fibonacci", "--max-index", "17", "--json"), 0,
      "d249113a243cbb0af47c2ec78aab95dd793ec07613ae8b6169a2b146c492d6a8"),
+    # d = 3x + 4 and g = 4x: general coefficients in the row step, past the prefix up to L[271].
+    (("verify", "--identity", "dic2-decompose", "--families", "random:1", "--seed", "3", "--max-index", "16",
+      "--json"), 0, "cfefbb6049d82dc71884ba51bea6b4089e0d6bafbaf311f63bd06912f8931c36"),
     (("table", "3", "--max-index", "24"), 0, "b30de34e24fc0ee23fbe14b9a236bbced6d6dff63d62ebdc0a6ba165d9170d5d"),
     (("table", "3", "--max-index", "24", "--json"), 0,
      "1ad7117ad8d5a98f2b2cc6abd0d97393991ed495bbd2b6681f37229f942f2765"),
