@@ -218,12 +218,14 @@ def equivalent_family(family: Family) -> Family:
 # Terms and powers of g 0..RETAINED stay cached; past it a cache keeps two
 # terms and no powers.  It must cover the indices and exponents the
 # identity catalog revisits out of order (verify --max-index 14 reaches
-# term 210 and g ** 98).
+# term 210 and g ** 98).  The dic2-decompose row walk keeps its own state.
 RETAINED = 256
 
 
 def _step(d: tuple[int, ...], g: tuple[int, ...], t1: tuple[int, ...], t0: tuple[int, ...]) -> Poly:
     """d * t1 + g * t0 on ascending coefficient tuples, built as one Poly.
+
+    It steps SequenceCache's terms and the dic2-decompose row witnesses.
 
     Zero coefficients of d and g are skipped, and a coefficient of +-1 adds
     or subtracts a term's row without multiplying.  The first row to land

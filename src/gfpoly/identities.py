@@ -3,10 +3,10 @@
 Every check returns IdentityReport records carrying the compared values, a
 verdict, and (for the divisibility decompositions) a quotient witness that
 re-multiplies to the original term.  Witnesses come from exact division,
-except in the dic2-decompose sweep, which builds each one from the
-witness two rows back by the Lucas addition law and divides only when
-that candidate does not re-multiply or its rows lie past the retained
-term prefix.  Families named F below are Fibonacci type, L are Lucas
+except in the dic2-decompose sweep, which seeds each row by the Lucas
+addition law from the witnesses two rows back, walks the rest of the row
+by the family's recurrence, and divides only when a candidate does not
+re-multiply.  Families named F below are Fibonacci type, L are Lucas
 type; pair checks take an equivalent (F, L) pair sharing one recurrence
 (d, g) and use alpha = 2 / p0 of the Lucas side.
 
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator
 
-from . import families
-from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
+from .families import Family, Kind, _step, require_kind, require_pair, require_positive, sequence
 from .polyring import ONE, ZERO, Poly, exact_div, poly_gcd_z
 
 
@@ -300,36 +299,31 @@ def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
 
 def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
-    """Each witness comes from the addition law with n = m(q-1) + r:
-    T[q] = alpha L[m(q-1)+r] - (-g)^m T[q-2], with T[-1] = T[0] = 0.
+    """The addition law with n = m(q-1) + r seeds r = 0 and 1 of row q:
+    T[q, r] = alpha L[m(q-1)+r] - (-g)^m T[q-2, r], with T[-1] = T[0] = 0.
+    Along the row the witnesses follow the family's own recurrence,
+    T[q, r] = d T[q, r-1] + g T[q, r-2].
 
-    Per m, the witnesses of rows q-1 and q-2 and the targets of row q-1
-    are held only while those targets lie in the retained term prefix.
-    Past it the rows are dropped and the points go through exact
-    division, so memory stays bounded.
+    Per m the sweep holds three pairs at any index: the seeds of rows q-2
+    and q-1, and L[m(q-1)], L[m(q-1)+1] taken from the reports of row q-1.
     """
     seq = sequence(lucas)
     alpha = lucas.alpha()
+    d, g = lucas.d.coeffs, lucas.g.coeffs
     for m in range(1, k + 1):
         swing = seq.g_power(m) * (-1) ** m
-        older = newer = [ZERO] * m
-        targets = [seq.term(r) for r in range(m)]
+        heads = (seq.term(0), seq.term(1))[:m]  # the row of m = 1 has r = 0 only
+        older = newer = (ZERO, ZERO)
         for q in range(1, k + 1):
-            keep = m * q + m - 1 <= families.RETAINED  # this row's targets reach L[mq+m-1]
-            witnesses, lhs = [], []
+            pair = tuple(head * alpha - old * swing for head, old in zip(heads, older))
+            older, newer = newer, pair
             for r in range(m):
-                candidate = None
-                if targets is not None and older[r] is not None:
-                    candidate = targets[r] * alpha - older[r] * swing
-                report = _decompose_mod_gm(lucas, m, q, r, candidate)
-                if keep:
-                    witnesses.append(report.witness)
-                    lhs.append(report.lhs)
+                if r > 1:
+                    pair = pair[1], _step(d, g, pair[1].coeffs, pair[0].coeffs)
+                report = _decompose_mod_gm(lucas, m, q, r, pair[min(r, 1)])  # pair[1] is T[q, r] for r >= 1
+                if r < 2:
+                    heads = (*heads[1:], report.lhs)
                 yield report
-            if keep:
-                older, newer, targets = newer, witnesses, lhs
-            else:
-                older = newer = targets = None
 
 
 def _sweep_dic2_pow2(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:

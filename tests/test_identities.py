@@ -289,36 +289,33 @@ def counting_divisions():
     return mock.patch.object(identities, "exact_div", counted), calls
 
 
-def divided_points(reports, retained):
-    """Points whose row q-1 lies past the row bound m*q + m - 1 <= retained."""
-    points = (report.params for report in reports)
-    return sum(1 for m, q, _ in points if q > 1 and m * q - 1 > retained)
-
-
 class TestDecomposeSweep:
-    """The sweep takes each witness from the addition law; decompose_mod_gm
-    divides.  Every report must be the same, field for field."""
+    """The sweep walks each row from the addition law and the recurrence;
+    decompose_mod_gm divides.  Every report must be the same, field for
+    field."""
 
     def test_builtin_pairs_match_division_without_dividing(self):
+        # k = 17 reaches L[305], past the retained term prefix.
+        assert 17 * 17 + 16 > families.RETAINED
         for fib_name, lucas_name in PAIRS:
             fib, lucas = builtin_pair(fib_name, lucas_name)
             patch, calls = counting_divisions()
             with patch:
-                reports = list(iter_reports("dic2-decompose", fib, lucas, 10))
+                reports = list(iter_reports("dic2-decompose", fib, lucas, 17))
             assert calls == [], fib_name
             for report in reports:
                 assert report == decompose_mod_gm(lucas, *report.params), (fib_name, report.params)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 999), k=st.integers(1, 8), retained=st.integers(0, 40))
-    def test_random_pairs_match_division_across_the_row_bound(self, seed, k, retained):
+    def test_random_pairs_match_division_at_any_retained_prefix(self, seed, k, retained):
         fib, lucas = random_pair(random.Random(seed), "r")
         patch, calls = counting_divisions()
         with mock.patch.object(families, "RETAINED", retained), mock.patch.object(families, "_CACHES", {}):
             with patch:
                 reports = list(iter_reports("dic2-decompose", fib, lucas, k))
-            # Inside the bound no point divides; past it each divides once.
-            assert len(calls) == divided_points(reports, retained)
+            # The row walk holds the same state at every index, so no point divides.
+            assert calls == []
             for report in reports:
                 assert report.passed, report.params
                 assert report == decompose_mod_gm(lucas, *report.params), report.params
