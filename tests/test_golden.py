@@ -52,6 +52,9 @@ GOLDEN = [
     # d = 3x + 4 and g = 4x: general coefficients in the row step, past the prefix up to L[271].
     (("verify", "--identity", "dic2-decompose", "--families", "random:1", "--seed", "3", "--max-index", "16",
       "--json"), 0, "cfefbb6049d82dc71884ba51bea6b4089e0d6bafbaf311f63bd06912f8931c36"),
+    # g = 2x with exponents up to g^275, past the retained prefix of the powers of g.
+    (("verify", "--identity", "dic2-decompose", "--families", "jacobsthal", "--max-index", "23", "--json"), 0,
+     "6c7d99b140aee915a924eaf7d5f29dd0dfdce293c9591320f665973f89ea054f"),
     (("table", "3", "--max-index", "24"), 0, "b30de34e24fc0ee23fbe14b9a236bbced6d6dff63d62ebdc0a6ba165d9170d5d"),
     (("table", "3", "--max-index", "24", "--json"), 0,
      "1ad7117ad8d5a98f2b2cc6abd0d97393991ed495bbd2b6681f37229f942f2765"),
