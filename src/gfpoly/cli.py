@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep identity checks over family grids")
     p.add_argument("--identity", default="all", help=f"one of: {', '.join(IDENTITY_GROUPS)}, all")
     p.add_argument("--families", default="builtin",
-                   help="'builtin', 'random:K', or comma-separated names")
+                   help="'builtin', 'random:K', comma-separated names, or one inline JSON family")
     p.add_argument("--max-index", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -215,10 +215,10 @@ def equivalent_family(family: Family) -> Family:
     )
 
 
-# Terms and powers of g 0..RETAINED stay cached; past it a cache keeps two
-# terms and no powers.  It must cover the indices and exponents the
-# identity catalog revisits out of order (verify --max-index 14 reaches
-# term 210 and g ** 98).  The dic2-decompose row walk keeps its own state.
+# Terms 0..RETAINED stay cached; past it a cache keeps two terms.  It must
+# cover the indices the identity catalog revisits out of order (verify
+# --max-index 14 reaches term 209 and g^98).  The dic2-decompose row walk
+# keeps its own state.
 RETAINED = 256
 
 
@@ -260,29 +260,21 @@ class SequenceCache:
     callers that revisit small indices in any order.  A request behind the
     tail restarts it from the end of the prefix.  Memory is the prefix plus
     two terms at any index, so every index the CLI accepts, up to its
-    MAX_TERM_INDEX, finishes.  The powers of g have a table of their own,
-    bounded by RETAINED in the same way.
+    MAX_TERM_INDEX, finishes.
     """
 
-    def __init__(self, family: Family):
-        self._d, self._g = family.d.coeffs, family.g.coeffs
-        self._prefix = [family.p0, family.p1]
-        self._tail = (1, family.p0, family.p1)
-        self._g_powers = [ONE]
+    def __init__(self, d: Poly, g: Poly, p0: Poly, p1: Poly):
+        self._d, self._g = d.coeffs, g.coeffs
+        self._prefix = [p0, p1]
+        self._tail = (1, p0, p1)
+        self._g_poly, self._powers = g, None
 
     def g_power(self, e: int) -> Poly:
-        """g ** e.  Exponents up to RETAINED are kept, each power one
-        multiplication from the one below; a larger one is not stored."""
-        if e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        powers = self._g_powers
-        if e >= len(powers):
-            g = Poly(self._g)
-            if e > RETAINED:
-                return g ** e
-            while len(powers) <= e:
-                powers.append(powers[-1] * g)
-        return powers[e]
+        """The e-th power of g: term e of the recurrence P[e] = g * P[e-1],
+        P[0] = 1, whose cache every recurrence over the same g shares."""
+        if self._powers is None:  # not in __init__: the powers have powers of their own
+            self._powers = _shared(self._g_poly, ZERO, ONE, self._g_poly)
+        return self._powers.term(e)
 
     def term(self, n: int) -> Poly:
         if n < 0:
@@ -304,17 +296,21 @@ class SequenceCache:
 _CACHES: dict[tuple[Poly, Poly, Poly, Poly], SequenceCache] = {}
 
 
+def _shared(d: Poly, g: Poly, p0: Poly, p1: Poly) -> SequenceCache:
+    key = (d, g, p0, p1)
+    cache = _CACHES.get(key)
+    if cache is None:
+        cache = _CACHES[key] = SequenceCache(d, g, p0, p1)
+    return cache
+
+
 def sequence(family: Family) -> SequenceCache:
     """Shared cache per recurrence; callers in one process reuse computed terms.
 
     The key is (d, g, p0, p1), not the family, so copies that differ only
     in name share one cache.
     """
-    key = (family.d, family.g, family.p0, family.p1)
-    cache = _CACHES.get(key)
-    if cache is None:
-        cache = _CACHES[key] = SequenceCache(family)
-    return cache
+    return _shared(family.d, family.g, family.p0, family.p1)
 
 
 def random_pair(rng: random.Random, name: str) -> tuple[Family, Family]:

@@ -91,19 +91,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Poly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def eval_at(self, x0: int) -> int:
         """Evaluate at an integer point by Horner's rule.
 

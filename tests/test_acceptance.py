@@ -167,7 +167,7 @@ def test_criterion_6_identity_catalog_passes_builtin_and_random():
     builtin_count = 0
     for fib_name, lucas_name in PAIRS:
         fib, lucas = builtin_family(fib_name), builtin_family(lucas_name)
-        fresh = SequenceCache(lucas)
+        fresh = SequenceCache(lucas.d, lucas.g, lucas.p0, lucas.p1)
         for group in IDENTITY_GROUPS:
             for report in iter_reports(group, fib, lucas, 15):
                 assert report.passed, (fib_name, group, report.params)

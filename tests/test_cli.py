@@ -368,6 +368,13 @@ class TestVerify:
         assert {r["family"] for r in reports} >= {"neg", "neg.fib/neg"}
         assert all(r["pass"] for r in reports)
 
+    def test_help_names_the_inline_json_family(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "one inline JSON family" in help_text
+
     def test_malformed_inline_json_family(self, capsys):
         status, out, err = run_cli(capsys, "verify", "--families", '{"name": "neg", "kind"}')
         assert (status, out) == (2, "")

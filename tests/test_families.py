@@ -332,7 +332,7 @@ class TestSequences:
     def test_cache_is_shared_and_consistent(self):
         f = builtin_family("pell")
         assert sequence(f) is sequence(f)
-        fresh = SequenceCache(f)
+        fresh = fresh_cache(f)
         for n in range(0, 30):
             assert fresh.term(n) == sequence(f).term(n)
 
@@ -357,6 +357,16 @@ def _hand_made(d: list[int], g: list[int], p0: list[int], p1: list[int]) -> Fami
     return Family("hand-made", Kind.FIBONACCI, Poly(d), Poly(g), Poly(p0), Poly(p1))
 
 
+def fresh_cache(family: Family) -> SequenceCache:
+    """A new cache over family's recurrence, outside the shared registry."""
+    return SequenceCache(family.d, family.g, family.p0, family.p1)
+
+
+def powers_of(g: Poly) -> SequenceCache:
+    """The shared cache that serves g_power: P[e] = g * P[e-1], P[0] = 1."""
+    return families._CACHES[(g, ZERO, ONE, g)]
+
+
 # Interior zeros, +-1 and negative leading coefficients all come up.
 _small = st.lists(st.sampled_from([-3, -1, 0, 1, 2]), min_size=1, max_size=4)
 any_family = st.one_of(
@@ -376,7 +386,7 @@ class TestRetainedPrefixAndTail:
     def test_matches_reference(self, family, retained, indices):
         want = reference_terms(family, max(indices))
         with mock.patch.object(families, "RETAINED", retained):
-            cache = SequenceCache(family)
+            cache = fresh_cache(family)
             for n in indices:
                 assert cache.term(n) == want[n], n
 
@@ -384,13 +394,13 @@ class TestRetainedPrefixAndTail:
     def test_builtins_out_of_order_across_the_prefix_end(self, name):
         family = builtin_family(name)
         want = reference_terms(family, 700)
-        cache = SequenceCache(family)
+        cache = fresh_cache(family)
         for n in (600, 300, 700, 5, 257, 256, 258):
             assert cache.term(n) == want[n], n
 
     def test_prefix_stops_growing_at_retained(self):
         with mock.patch.object(families, "RETAINED", 10):
-            cache = SequenceCache(builtin_family("lucas"))
+            cache = fresh_cache(builtin_family("lucas"))
             cache.term(50)
             assert len(cache._prefix) == 11
             assert cache._tail[0] == 50
@@ -410,30 +420,43 @@ class TestRetainedPrefixAndTail:
 
 
 class TestGPower:
-    """SequenceCache.g_power against Poly.__pow__, across the end of its table."""
+    """SequenceCache.g_power against a repeated product, across the end of the prefix."""
 
     FAMILIES = [*BUILTIN.values(), *(f for seed in range(4) for f in random_pair(random.Random(seed), "r"))]
 
     @pytest.mark.parametrize("retained", [0, 1, 6])
-    def test_matches_pow_below_at_and_past_retained(self, retained):
+    def test_matches_repeated_product_below_at_and_past_retained(self, retained, monkeypatch):
+        monkeypatch.setattr(families, "_CACHES", {})
         with mock.patch.object(families, "RETAINED", retained):
             for family in self.FAMILIES:
-                cache = SequenceCache(family)
+                want = [ONE]
+                while len(want) <= retained + 3:
+                    want.append(want[-1] * family.g)
+                cache = fresh_cache(family)
                 for e in (retained + 3, retained, 0, retained + 1, 1, retained // 2, retained):
-                    assert cache.g_power(e) == family.g ** e, (family.name, e)
-                    assert len(cache._g_powers) <= retained + 1
+                    assert cache.g_power(e) == want[e], (family.name, e)
+                    assert len(powers_of(family.g)._prefix) <= max(retained, 1) + 1
 
-    def test_table_fills_to_retained_and_stops(self):
+    def test_power_prefix_fills_to_retained_and_stops(self, monkeypatch):
+        monkeypatch.setattr(families, "_CACHES", {})
+        fermat = builtin_family("fermat")
         with mock.patch.object(families, "RETAINED", 6):
-            cache = SequenceCache(builtin_family("fermat"))
+            cache = fresh_cache(fermat)
             cache.g_power(40)
-            assert len(cache._g_powers) == 1
+            powers = powers_of(fermat.g)
+            assert (len(powers._prefix), powers._tail[0]) == (7, 40)
             cache.g_power(6)
-            assert len(cache._g_powers) == 7
+            assert (len(powers._prefix), powers._tail[0]) == (7, 40)
+
+    @pytest.mark.parametrize("fib_name", FIB_BUILTINS)
+    def test_equivalent_pair_shares_one_power_sequence(self, fib_name):
+        fib, lucas = builtin_family(fib_name), builtin_family(PARTNER[fib_name])
+        for e in (1, 2, 7, 40, families.RETAINED, families.RETAINED + 44):
+            assert sequence(fib).g_power(e) is sequence(lucas).g_power(e), e
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            SequenceCache(builtin_family("fermat")).g_power(-1)
+            fresh_cache(builtin_family("fermat")).g_power(-1)
 
 
 class TestCoprimalitySweeps:

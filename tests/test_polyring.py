@@ -140,17 +140,6 @@ class TestArithmetic:
         assert -2 * Poly([1, 2]) == Poly([-2, -4])
         assert Poly([1, 2]) * 0 == ZERO
 
-    def test_pow(self):
-        assert Poly([1, 1]) ** 2 == Poly([1, 2, 1])
-        assert Poly([1, 1]) ** 0 == ONE
-        assert ZERO ** 0 == ONE
-        assert ZERO ** 3 == ZERO
-        assert Poly([0, -1]) ** 3 == Poly([0, 0, 0, -1])
-
-    def test_pow_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Poly([1, 1]) ** -1
-
     def test_eval_at(self):
         assert Poly([3, 0, 4, 0, 1]).eval_at(2) == 35
         assert Poly([0, 3, 0, 4, 0, 1]).eval_at(1) == 8
@@ -175,13 +164,6 @@ class TestArithmetic:
     def test_evaluation_is_a_homomorphism(self, p, q, x0):
         assert (p * q).eval_at(x0) == p.eval_at(x0) * q.eval_at(x0)
         assert (p + q).eval_at(x0) == p.eval_at(x0) + q.eval_at(x0)
-
-    @given(polys, st.integers(0, 5))
-    def test_pow_matches_repeated_product(self, p, e):
-        expected = ONE
-        for _ in range(e):
-            expected = expected * p
-        assert p ** e == expected
 
 
 class TestContentAndPrimitive:
