@@ -4,8 +4,9 @@ Each case runs in-process through main(argv).  The commands are the `gfp`
 examples of README.md, with `random:5` in place of the README's
 `random:50` to keep the suite fast, plus the three tables at
 --max-index 24 in text and JSON, `gcd --json` with a closed form,
-with --check, and with the oracle alone, and the random pairs in --json,
-which pins their labels and witnesses.  A change that alters any byte
+with --check, and with the oracle alone, the random pairs in --json,
+which pins their labels and witnesses, and the commands of the
+benchmark's `paper` workload (its verify in --json).  A change that alters any byte
 of this output, or any exit status, fails here; refactors must keep
 them all.
 """
@@ -64,6 +65,16 @@ GOLDEN = [
     (("table", "5", "--max-index", "24"), 0, "bb075b42313557dc9041a2d81b9e6c8e193e98f051df899690be298104d899f7"),
     (("table", "5", "--max-index", "24", "--json"), 0,
      "e47f49407004500e86261b745e5fef7ef027f5bb15f0289059c3ca0df5fe03ea"),
+    # The benchmark's `paper` workload: its three tables as it runs them, and its verify in --json,
+    # which pins every witness.
+    (("table", "3", "--max-index", "32", "--json"), 0,
+     "ff0b243bbec03b61553fd4ceb1ea51b9548411dcdfb94e76dbc228a4868650a9"),
+    (("table", "4", "--max-index", "32", "--json"), 0,
+     "0b2952cb86e0adb193b0ed27537c4ee5caf897a3f588eb60498a837c8393bde5"),
+    (("table", "5", "--max-index", "32", "--json"), 0,
+     "31d9abf2b35459a7387b90323222acb6e3414ca08ac8ed370237665fecba1410"),
+    (("verify", "--max-index", "14", "--json"), 0,
+     "06ebc66da4bd5e1873705595b77f754d281bcecac1fd0b2979efa7279d7ce7ab"),
 ]
 
 
