@@ -9,7 +9,8 @@ The gcd here is the full Z[x] gcd: integer content is part of the answer,
 not factored away.  gcd(4x + 4, 6) is 2, not 1.  The gcd of the primitive
 parts is the heuristic GCDHEU at an integer xi >= 2 min(|a|, |b|) + 2,
 proved by an exact-division check, with a primitive pseudo-remainder
-sequence as its fallback; see poly_gcd_z.
+sequence as its fallback; see poly_gcd_z.  A constant candidate is 1,
+which divides everything, so it is accepted without dividing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from typing import Iterable
 class Poly:
     """An element of Z[x].
 
+    Immutable; hash(coeffs) is computed on the first hash and kept, so a
+    Poly used as a dict key again and again is hashed once.
+
     >>> Poly([1, 0, 1])
     Poly('x^2 + 1')
     >>> Poly([0, 2]) * Poly([3, 1]) + Poly([5])
@@ -33,6 +37,7 @@ class Poly:
     """
 
     coeffs: tuple[int, ...]
+    _hash = None  # not a field: ==, repr and to_json never see it
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
@@ -53,6 +58,13 @@ class Poly:
     def leading(self) -> int:
         """Leading coefficient; 0 for the zero polynomial."""
         return self.coeffs[-1] if self.coeffs else 0
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -107,12 +119,13 @@ class Poly:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
     def primitive_part(self) -> Poly:
-        """self divided by its content, sign-fixed to a positive leading coefficient."""
+        """self divided by its content, sign-fixed to a positive leading coefficient.
+
+        Already primitive with a positive lead, self is returned as it is.
+        """
         if self.is_zero:
             raise ValueError("the zero polynomial has no primitive part")
-        r = list(self.coeffs)
-        _make_primitive(r)
-        return Poly(r)
+        return _primitive(self, self.content())
 
     def normalized(self) -> Poly:
         """Sign-canonical form: leading coefficient made positive. Content is kept."""
@@ -228,18 +241,32 @@ def _make_primitive(r: list[int]) -> None:
         r[:] = [x // c for x in r]
 
 
+def _primitive(p: Poly, content: int) -> Poly:
+    # Nonzero p divided by its content, leading coefficient made positive;
+    # p itself when it is already primitive with a positive lead.
+    if p.coeffs[-1] < 0:
+        content = -content
+    if content == 1:
+        return p
+    return Poly(x // content for x in p.coeffs)
+
+
 def _heuristic_gcd(a: Poly, b: Poly) -> Poly | None:
     """gcd of primitive a, b of positive degree by GCDHEU, or None.
 
     At xi >= 2 min(|a|, |b|) + 2 a primitive candidate that divides both
     inputs is their gcd (Char, Geddes & Gonnet 1989), so every answer
-    returned is exact.  None when HEU_GCD_TRIES values of xi, each larger
-    than the last, all fail; xi grows as in sympy's dup_zz_heu_gcd.
+    returned is exact.  A constant primitive candidate is 1, which divides
+    both, so it is returned without the two divisions.  None when
+    HEU_GCD_TRIES values of xi, each larger than the last, all fail; xi
+    grows as in sympy's dup_zz_heu_gcd.
     """
     xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
     for _ in range(HEU_GCD_TRIES):
         h = _balanced_digits(math.gcd(a.eval_at(xi), b.eval_at(xi)), xi)
         _make_primitive(h)
+        if len(h) == 1:
+            return ONE
         candidate = Poly(h)
         if exact_div(a, candidate) is not None and exact_div(b, candidate) is not None:
             return candidate
@@ -284,8 +311,9 @@ def poly_gcd_z(p: Poly, q: Poly) -> Poly:
     the primitive parts), take the integer gcd, interpolate in balanced
     base xi, and accept the primitive candidate only when exact_div
     divides both primitive parts by it, which at this xi proves it is the
-    gcd.  After six rejected values of xi it falls back to a primitive
-    pseudo-remainder sequence on int lists.
+    gcd; a constant candidate is 1 and divides both, so it needs no
+    division.  After six rejected values of xi it falls back to a
+    primitive pseudo-remainder sequence on int lists.
 
     >>> poly_gcd_z(Poly([0, 2, 0, 1]), Poly([0, 3, 0, 4, 0, 1]))
     Poly('x')
@@ -296,11 +324,12 @@ def poly_gcd_z(p: Poly, q: Poly) -> Poly:
         return q.normalized()
     if q.is_zero:
         return p.normalized()
-    c = math.gcd(p.content(), q.content())
-    a, b = p.primitive_part(), q.primitive_part()
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+    cp, cq = p.content(), q.content()
+    c = math.gcd(cp, cq)
+    if len(p.coeffs) == 1 or len(q.coeffs) == 1:
         return Poly([c])
+    a, b = _primitive(p, cp), _primitive(q, cq)
     h = _heuristic_gcd(a, b)
     if h is None:
         h = Poly(_prs_gcd(list(a.coeffs), list(b.coeffs)))
-    return h * c
+    return h if c == 1 else h * c

@@ -410,6 +410,18 @@ class TestRetainedPrefixAndTail:
         copy = Family.from_json({**lucas.to_json(), "name": "my-lucas"})
         assert sequence(copy) is sequence(lucas)
 
+    @pytest.mark.parametrize("rebuilt_first", [False, True])
+    def test_equal_but_distinct_recurrence_polys_share_the_cache(self, rebuilt_first, monkeypatch):
+        # One side's polys are hashed (and keep that hash) before the other's are.
+        monkeypatch.setattr(families, "_CACHES", {})
+        fib = builtin_family("fibonacci")
+        rebuilt = Family("fib-again", fib.kind, X * ONE, ONE + ZERO, Poly([0, 0]), Poly((1, 0)))
+        for a, b in zip((fib.d, fib.g, fib.p0, fib.p1), (rebuilt.d, rebuilt.g, rebuilt.p0, rebuilt.p1)):
+            assert a == b and a is not b
+        first, second = (rebuilt, fib) if rebuilt_first else (fib, rebuilt)
+        assert sequence(second) is sequence(first)
+        assert len(families._CACHES) == 1
+
     def test_closed_form_and_oracle_on_a_renamed_copy_leave_one_cache(self, monkeypatch):
         monkeypatch.setattr(families, "_CACHES", {})
         lucas = builtin_family("lucas")

@@ -126,6 +126,31 @@ class TestRepresentation:
         assert Poly([1, 2]) != Poly([1, 2, 3])
 
 
+class TestHash:
+    """Poly keeps its hash after the first call; nothing else sees it."""
+
+    @given(coeffs, polys, st.integers(0, 3))
+    def test_equal_polys_hash_equal_whichever_is_hashed_first(self, cs, q, zeros):
+        def builds():
+            return (Poly(cs), Poly(cs + [0] * zeros), (Poly(cs) + q) - q,
+                    Poly.from_json([str(c) for c in cs]))
+
+        for first in range(4):
+            ps = builds()
+            h = hash(ps[first])
+            assert [hash(p) for p in ps] == [h] * 4
+            assert set(builds()) == {ps[first]}
+
+    def test_kept_hash_does_not_change_equality_repr_or_json(self):
+        hashed, fresh = Poly([3, 0, -1]), Poly([3, 0, -1])
+        hash(hashed)
+        assert hashed == fresh and fresh == hashed
+        assert hashed != Poly([3, 0, 1])
+        assert repr(hashed) == repr(fresh) == "Poly('-x^2 + 3')"
+        assert hashed.to_json() == fresh.to_json() == ["3", "0", "-1"]
+        assert Poly.from_json(hashed.to_json()) == hashed
+
+
 class TestArithmetic:
     def test_known_product(self):
         # (x + 2)(x^2 + 1) = x^3 + 2x^2 + x + 2
@@ -177,6 +202,9 @@ class TestContentAndPrimitive:
         assert Poly([4, 12, 12, 8]).primitive_part() == Poly([1, 3, 3, 2])
         assert Poly([-4, -6]).primitive_part() == Poly([2, 3])
         assert Poly([0, -3]).primitive_part() == Poly([0, 1])
+        # Already primitive with a positive lead: no copy.
+        p = Poly([-2, 0, 3])
+        assert p.primitive_part() is p
 
     def test_primitive_part_of_zero_raises(self):
         with pytest.raises(ValueError):
@@ -297,6 +325,39 @@ class TestGcd:
     @given(st.integers(-300, 300), st.integers(-300, 300))
     def test_constants_reduce_to_integer_gcd(self, a, b):
         assert poly_gcd_z(Poly([a]), Poly([b])) == Poly([math.gcd(a, b)])
+
+
+class TestGcdProof:
+    """The divisions GCDHEU runs to prove its answer, and its sign and content."""
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        calls = []
+
+        def counting(num, den):
+            calls.append(den)
+            return exact_div(num, den)
+
+        monkeypatch.setattr(polyring, "exact_div", counting)
+        return calls
+
+    def test_constant_candidate_is_accepted_without_dividing(self, divisions):
+        fib = sequence(BUILTIN["fibonacci"])
+        assert poly_gcd_z(fib.term(31), fib.term(32)) == ONE
+        assert poly_gcd_z(fib.term(32), fib.term(31) * -3) == ONE
+        assert divisions == []
+
+    def test_nonconstant_candidate_is_proved_by_two_divisions(self, divisions):
+        fib = sequence(BUILTIN["fibonacci"])
+        assert poly_gcd_z(fib.term(12), fib.term(18)) == fib.term(6)
+        assert divisions == [fib.term(6), fib.term(6)]
+
+    def test_negative_leads_and_content_give_the_normalized_gcd(self):
+        assert poly_gcd_z(Poly([-6, 0, -6]), Poly([12, 4])) == Poly([2])
+        assert poly_gcd_z(Poly([12, 4]), Poly([-6, 0, -6])) == Poly([2])
+        # -4(x + 1)(x - 2) and -6(x + 1)
+        assert poly_gcd_z(Poly([8, 4, -4]), Poly([-6, -6])) == Poly([2, 2])
+        assert poly_gcd_z(Poly([-3, 0, -3]), Poly([0, -1, 0, -1])) == Poly([1, 0, 1])
 
 
 content_factors = st.integers(-12, 12).filter(bool)
