@@ -26,6 +26,7 @@ from .families import (
     Kind,
     UnknownFamilyError,
     builtin_family,
+    clear_sequences,
     equivalent_family,
     random_pair,
     sequence,
@@ -35,7 +36,7 @@ from .identities import IDENTITY_GROUPS, iter_reports
 from .polyring import ONE, Poly
 
 MAX_TERM_INDEX = 10_000
-MAX_RANDOM_PAIRS = 10_000  # verify builds every pair before it prints
+MAX_RANDOM_PAIRS = 10_000  # verify draws every pair before it prints
 MAX_TABLE_INDEX = 64
 
 # Rows of tables 3-5: the six classical pairs, by their Fibonacci-type member.
@@ -174,6 +175,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     by_group: dict[str, list[int]] = {g: [0, 0] for g in groups}
     for group, tally in by_group.items():
         for fib, lucas in pairs:
+            clear_sequences()  # hold one pair's terms at a time
             for report in iter_reports(group, fib, lucas, k):
                 tally[0 if report.passed else 1] += 1
                 if args.json:

@@ -14,6 +14,7 @@ called equivalent; the closed-form mixed gcds below need such pairs.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from operator import add, neg, sub
@@ -293,22 +294,18 @@ class SequenceCache:
         return t1
 
 
-_CACHES: dict[tuple[Poly, Poly, Poly, Poly], SequenceCache] = {}
-
-
-def _shared(d: Poly, g: Poly, p0: Poly, p1: Poly) -> SequenceCache:
-    key = (d, g, p0, p1)
-    cache = _CACHES.get(key)
-    if cache is None:
-        cache = _CACHES[key] = SequenceCache(d, g, p0, p1)
-    return cache
+# One cache per recurrence, keyed (d, g, p0, p1); clear_sequences() drops them all.
+_shared = functools.cache(SequenceCache)
+clear_sequences = _shared.cache_clear
 
 
 def sequence(family: Family) -> SequenceCache:
     """Shared cache per recurrence; callers in one process reuse computed terms.
 
     The key is (d, g, p0, p1), not the family, so copies that differ only
-    in name share one cache.
+    in name share one cache.  The registry keeps each cache until
+    clear_sequences(), which `gfp verify` calls before each pair's sweep,
+    so a run holds one pair's terms at a time.
     """
     return _shared(family.d, family.g, family.p0, family.p1)
 

@@ -157,9 +157,8 @@ def check_lucas_addition(lucas: Family, m: int, n: int) -> IdentityReport:
 def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
     """L[mq+r] split into a multiple of L[m] plus a signed g-power correction.
 
-    The correction depends on the parity of q through t = ceil(q / 2):
-    odd q uses (-1)^(m(t-1)+t+r) g^((t-1)m+r) L[m-r], even q uses
-    (-1)^((m+1)t) g^(mt) L[r].
+    The correction is (-1)^(e+t) g^e L[i] with t = ceil(q / 2), where
+    (e, i) = ((t-1)m + r, m - r) for odd q and (mt, r) for even q.
     """
     require_kind(lucas, Kind.LUCAS, "decompose_mod_gm")
     if m < 1 or q < 1 or r < 0:
@@ -173,12 +172,8 @@ def _decompose_mod_gm(lucas: Family, m: int, q: int, r: int, candidate: Poly | N
     seq = sequence(lucas)
     l = seq.term
     t = (q + 1) // 2
-    if q % 2 == 1:
-        sign = -1 if (m * (t - 1) + t + r) % 2 else 1
-        correction = seq.g_power((t - 1) * m + r) * l(m - r) * sign
-    else:
-        sign = -1 if ((m + 1) * t) % 2 else 1
-        correction = seq.g_power(m * t) * l(r) * sign
+    e, i = ((t - 1) * m + r, m - r) if q % 2 else (m * t, r)
+    correction = seq.g_power(e) * l(i) * (-1) ** (e + t)
     return _decomposition("dic2-decompose", lucas.name, (m, q, r), l(m * q + r), l(m), correction, candidate)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gfpoly
-from gfpoly import gcd_theorems
+from gfpoly import families, gcd_theorems
 from gfpoly.cli import TABLE_ROWS, main
 from polytext import reference_parse
 
@@ -287,6 +287,13 @@ class TestVerify:
                                  "--seed", "2", "--max-index", "8")
         assert status == 0
         assert out.strip().splitlines()[-1].endswith(" 0 failed")
+
+    def test_registry_holds_one_pair_at_a_time(self, capsys):
+        # The last pair's Fibonacci and Lucas terms and its powers of g.
+        status, _, _ = run_cli(capsys, "verify", "--families", "random:5",
+                               "--seed", "7", "--max-index", "8")
+        assert status == 0
+        assert families._shared.cache_info().currsize <= 3
 
     def test_closed_pipe_exits_quietly(self):
         proc = gfp_process("verify", "--json")

@@ -10,6 +10,7 @@ must stay coprime to) are swept for all built-ins.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from gfpoly.families import (
     SequenceCache,
     UnknownFamilyError,
     builtin_family,
+    clear_sequences,
     equivalent_family,
     random_pair,
     sequence,
@@ -336,6 +338,15 @@ class TestSequences:
         for n in range(0, 30):
             assert fresh.term(n) == sequence(f).term(n)
 
+    def test_clear_sequences_gives_a_new_cache_with_equal_terms(self):
+        f = builtin_family("fibonacci")
+        before = sequence(f)
+        term = before.term(40)
+        clear_sequences()
+        after = sequence(f)
+        assert after is not before
+        assert after.term(40) == term
+
     def test_recurrence_linearity(self):
         for name in ("fibonacci", "lucas", "jacobsthal-lucas", "paper-2x1-fib"):
             f = builtin_family(name)
@@ -364,7 +375,19 @@ def fresh_cache(family: Family) -> SequenceCache:
 
 def powers_of(g: Poly) -> SequenceCache:
     """The shared cache that serves g_power: P[e] = g * P[e-1], P[0] = 1."""
-    return families._CACHES[(g, ZERO, ONE, g)]
+    return families._shared(g, ZERO, ONE, g)
+
+
+@contextmanager
+def patched_retained(retained: int):
+    """RETAINED patched, in a registry cleared before and after, so no
+    shared cache built under the patch outlives it."""
+    clear_sequences()
+    try:
+        with mock.patch.object(families, "RETAINED", retained):
+            yield
+    finally:
+        clear_sequences()
 
 
 # Interior zeros, +-1 and negative leading coefficients all come up.
@@ -385,7 +408,7 @@ class TestRetainedPrefixAndTail:
     @example(_hand_made([1, -3, 0, -1], [0, 0, -1], [2], [-1, 0, 1]), 1, [9, 2, 1, 0, 10, 3])
     def test_matches_reference(self, family, retained, indices):
         want = reference_terms(family, max(indices))
-        with mock.patch.object(families, "RETAINED", retained):
+        with patched_retained(retained):
             cache = fresh_cache(family)
             for n in indices:
                 assert cache.term(n) == want[n], n
@@ -399,7 +422,7 @@ class TestRetainedPrefixAndTail:
             assert cache.term(n) == want[n], n
 
     def test_prefix_stops_growing_at_retained(self):
-        with mock.patch.object(families, "RETAINED", 10):
+        with patched_retained(10):
             cache = fresh_cache(builtin_family("lucas"))
             cache.term(50)
             assert len(cache._prefix) == 11
@@ -411,24 +434,24 @@ class TestRetainedPrefixAndTail:
         assert sequence(copy) is sequence(lucas)
 
     @pytest.mark.parametrize("rebuilt_first", [False, True])
-    def test_equal_but_distinct_recurrence_polys_share_the_cache(self, rebuilt_first, monkeypatch):
+    def test_equal_but_distinct_recurrence_polys_share_the_cache(self, rebuilt_first):
         # One side's polys are hashed (and keep that hash) before the other's are.
-        monkeypatch.setattr(families, "_CACHES", {})
+        clear_sequences()
         fib = builtin_family("fibonacci")
         rebuilt = Family("fib-again", fib.kind, X * ONE, ONE + ZERO, Poly([0, 0]), Poly((1, 0)))
         for a, b in zip((fib.d, fib.g, fib.p0, fib.p1), (rebuilt.d, rebuilt.g, rebuilt.p0, rebuilt.p1)):
             assert a == b and a is not b
         first, second = (rebuilt, fib) if rebuilt_first else (fib, rebuilt)
         assert sequence(second) is sequence(first)
-        assert len(families._CACHES) == 1
+        assert families._shared.cache_info().currsize == 1
 
-    def test_closed_form_and_oracle_on_a_renamed_copy_leave_one_cache(self, monkeypatch):
-        monkeypatch.setattr(families, "_CACHES", {})
+    def test_closed_form_and_oracle_on_a_renamed_copy_leave_one_cache(self):
+        clear_sequences()
         lucas = builtin_family("lucas")
         copy = Family.from_json({**lucas.to_json(), "name": "my-lucas"})
         closed, case = closed_gcd(lucas, copy, 30, 45)
         assert compare(lucas, copy, 30, 45, closed, case).agrees
-        assert len(families._CACHES) == 1
+        assert families._shared.cache_info().currsize == 1
 
 
 class TestGPower:
@@ -437,9 +460,8 @@ class TestGPower:
     FAMILIES = [*BUILTIN.values(), *(f for seed in range(4) for f in random_pair(random.Random(seed), "r"))]
 
     @pytest.mark.parametrize("retained", [0, 1, 6])
-    def test_matches_repeated_product_below_at_and_past_retained(self, retained, monkeypatch):
-        monkeypatch.setattr(families, "_CACHES", {})
-        with mock.patch.object(families, "RETAINED", retained):
+    def test_matches_repeated_product_below_at_and_past_retained(self, retained):
+        with patched_retained(retained):
             for family in self.FAMILIES:
                 want = [ONE]
                 while len(want) <= retained + 3:
@@ -449,10 +471,9 @@ class TestGPower:
                     assert cache.g_power(e) == want[e], (family.name, e)
                     assert len(powers_of(family.g)._prefix) <= max(retained, 1) + 1
 
-    def test_power_prefix_fills_to_retained_and_stops(self, monkeypatch):
-        monkeypatch.setattr(families, "_CACHES", {})
+    def test_power_prefix_fills_to_retained_and_stops(self):
         fermat = builtin_family("fermat")
-        with mock.patch.object(families, "RETAINED", 6):
+        with patched_retained(6):
             cache = fresh_cache(fermat)
             cache.g_power(40)
             powers = powers_of(fermat.g)

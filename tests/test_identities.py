@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfpoly import families, identities
-from gfpoly.families import Family, Kind, NotEquivalentError, builtin_family, random_pair, sequence
+from gfpoly.families import (
+    Family,
+    Kind,
+    NotEquivalentError,
+    builtin_family,
+    clear_sequences,
+    random_pair,
+    sequence,
+)
 from gfpoly.identities import (
     IDENTITY_GROUPS,
     IdentityReport,
@@ -311,14 +319,19 @@ class TestDecomposeSweep:
     def test_random_pairs_match_division_at_any_retained_prefix(self, seed, k, retained):
         fib, lucas = random_pair(random.Random(seed), "r")
         patch, calls = counting_divisions()
-        with mock.patch.object(families, "RETAINED", retained), mock.patch.object(families, "_CACHES", {}):
-            with patch:
-                reports = list(iter_reports("dic2-decompose", fib, lucas, k))
-            # The row walk holds the same state at every index, so no point divides.
-            assert calls == []
-            for report in reports:
-                assert report.passed, report.params
-                assert report == decompose_mod_gm(lucas, *report.params), report.params
+        # No shared cache built under the patched prefix outlives it.
+        clear_sequences()
+        try:
+            with mock.patch.object(families, "RETAINED", retained):
+                with patch:
+                    reports = list(iter_reports("dic2-decompose", fib, lucas, k))
+                # The row walk holds the same state at every index, so no point divides.
+                assert calls == []
+                for report in reports:
+                    assert report.passed, report.params
+                    assert report == decompose_mod_gm(lucas, *report.params), report.params
+        finally:
+            clear_sequences()
 
     def test_failing_family_gets_the_division_reports(self):
         # p1 = x + 1 breaks the addition law, so most points have no witness.
