@@ -249,13 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="list the built-in family registry")
     p.add_argument("--kind", choices=[k.value for k in Kind])
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("term", help="print one term of a family")
     p.add_argument("family", help="builtin name or inline JSON definition")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_term)
 
     p = sub.add_parser("gcd", help="gcd of two terms, closed form when one applies")
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family_b")
     p.add_argument("n", type=int)
     p.add_argument("--check", action="store_true", help="also run the brute-force oracle and compare")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gcd)
 
     p = sub.add_parser("verify", help="sweep identity checks over family grids")
@@ -273,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'builtin', 'random:K', comma-separated names, or one inline JSON family")
     p.add_argument("--max-index", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="reproduce a gcd grid table against the oracle")
     p.add_argument("which", type=int, choices=(3, 4, 5))
     p.add_argument("--max-index", type=int, default=24)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -232,15 +232,6 @@ def _balanced_digits(n: int, xi: int) -> list[int]:
     return digits
 
 
-def _make_primitive(r: list[int]) -> None:
-    # Divide out the content in place and make the leading coefficient positive.
-    c = math.gcd(*r)
-    if r[-1] < 0:
-        c = -c
-    if c != 1:
-        r[:] = [x // c for x in r]
-
-
 def _primitive(p: Poly, content: int) -> Poly:
     # Nonzero p divided by its content, leading coefficient made positive;
     # p itself when it is already primitive with a positive lead.
@@ -256,18 +247,17 @@ def _heuristic_gcd(a: Poly, b: Poly) -> Poly | None:
 
     At xi >= 2 min(|a|, |b|) + 2 a primitive candidate that divides both
     inputs is their gcd (Char, Geddes & Gonnet 1989), so every answer
-    returned is exact.  A constant primitive candidate is 1, which divides
-    both, so it is returned without the two divisions.  None when
+    returned is exact.  A constant candidate's primitive part is 1, which
+    divides both, so ONE is returned without the two divisions.  None when
     HEU_GCD_TRIES values of xi, each larger than the last, all fail; xi
     grows as in sympy's dup_zz_heu_gcd.
     """
     xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
     for _ in range(HEU_GCD_TRIES):
         h = _balanced_digits(math.gcd(a.eval_at(xi), b.eval_at(xi)), xi)
-        _make_primitive(h)
         if len(h) == 1:
             return ONE
-        candidate = Poly(h)
+        candidate = Poly(h).primitive_part()
         if exact_div(a, candidate) is not None and exact_div(b, candidate) is not None:
             return candidate
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
@@ -296,7 +286,7 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
             while a and a[-1] == 0:
                 a.pop()
         if a:
-            _make_primitive(a)
+            a[:] = Poly(a).primitive_part().coeffs
         a, b = b, a
     return a
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import doctest
 import math
+import random
 
 import pytest
 
 import gfpoly.gcd_theorems as gcd_theorems_module
-from gfpoly.families import Family, NotEquivalentError, builtin_family, sequence
+from gfpoly.families import VALID, Family, Kind, NotEquivalentError, builtin_family, random_pair, sequence
 from gfpoly.gcd_theorems import (
     GcdCase,
     GcdReport,
@@ -28,10 +29,15 @@ from gfpoly.gcd_theorems import (
     oracle_gcd,
     two_adic_valuation,
 )
-from gfpoly.polyring import ONE, Poly
+from gfpoly.polyring import ONE, Poly, poly_gcd_z
 
 FIB = builtin_family("fibonacci")
 LUC = builtin_family("lucas")
+
+
+def _random_pairs() -> list[tuple[Family, Family]]:
+    rng = random.Random(7)
+    return [random_pair(rng, f"r{i}") for i in range(10)]
 
 
 class TestTwoAdicValuation:
@@ -266,7 +272,41 @@ class TestMinEvenIndex:
             min_even_index(LUC, 0)
 
 
+class TestClosedFormsOnRandomPairs:
+    def test_match_oracle_and_otherwise_value_follows_min_even_index(self):
+        # A random Lucas partner can have gcd(L[d], p0) = 2, so the 'otherwise'
+        # value must agree with the oracle, not with table 4's value 1: it is 2
+        # exactly when min_even_index divides gcd(m, n).
+        two = Poly([2])
+        points = otherwise = twos = 0
+        for fib, lucas in _random_pairs():
+            k = min_even_index(lucas, 12)
+            for fa, fb in ((fib, fib), (lucas, lucas), (fib, lucas), (lucas, fib)):
+                for m in range(1, 13):
+                    for n in range(1, 13):
+                        value, case = closed_gcd(fa, fb, m, n)
+                        assert value == oracle_gcd(fa, fb, m, n), (fa.name, fb.name, m, n)
+                        points += 1
+                        if case in (GcdCase.LUCAS_UNEQUAL_E2, GcdCase.MIXED_OTHERWISE):
+                            even = k is not None and math.gcd(m, n) % k == 0
+                            assert value == (two if even else ONE), (fa.name, fb.name, m, n, k)
+                            otherwise += 1
+                            twos += even
+        assert (points, otherwise) == (5760, 2880)
+        assert 0 < twos < otherwise
+
+
 class TestStrongDivisibilityCharacterization:
+    def test_lucas_type_initial_values_break_strong_divisibility(self):
+        # The converse half, checked empirically: every valid Lucas-type
+        # family here has some 1 <= m < n <= 4 with gcd(L[m], L[n]) != L[gcd(m, n)].
+        lucas_families = [f for f in VALID if f.kind is Kind.LUCAS]
+        lucas_families += [lucas for _, lucas in _random_pairs()]
+        for family in lucas_families:
+            t = sequence(family).term
+            assert any(poly_gcd_z(t(m), t(n)) != t(math.gcd(m, n)).normalized()
+                       for n in range(2, 5) for m in range(1, n)), family.name
+
     def test_divisibility_ladder(self):
         # m | n forces F[m] | F[n]; the quotient has integer coefficients
         from gfpoly.polyring import exact_div
