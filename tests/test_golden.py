@@ -6,7 +6,8 @@ examples of README.md, with `random:5` in place of the README's
 --max-index 24 in text and JSON, `gcd --json` with a closed form,
 with --check, and with the oracle alone, the random pairs in --json,
 which pins their labels and witnesses, and the commands of the
-benchmark's `paper` workload (its verify in --json).  A change that alters any byte
+benchmark's `paper` workload (its verify in --json), and `gcd --check
+--json` on two deep pairs of terms.  A change that alters any byte
 of this output, or any exit status, fails here; refactors must keep
 them all.
 """
@@ -75,6 +76,11 @@ GOLDEN = [
      "31d9abf2b35459a7387b90323222acb6e3414ca08ac8ed370237665fecba1410"),
     (("verify", "--max-index", "14", "--json"), 0,
      "06ebc66da4bd5e1873705595b77f754d281bcecac1fd0b2979efa7279d7ce7ab"),
+    # The gcd oracle on deep terms: a gcd of degree 199, and a coprime pair.
+    (("gcd", "fermat", "400", "fermat", "600", "--check", "--json"), 0,
+     "ba3cf5480054080a4964105da2dd03c09734e2287a2ae401e737a20452652769"),
+    (("gcd", "lucas", "400", "lucas", "600", "--check", "--json"), 0,
+     "6a08cf4c7165c8bde8a9f164b0a29e0ac74b8e1047c536a342b551be5b4c588b"),
 ]
 
 
