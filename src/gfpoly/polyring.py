@@ -7,10 +7,8 @@ polynomials are equal exactly when their coefficient tuples are equal.
 
 The gcd here is the full Z[x] gcd: integer content is part of the answer,
 not factored away.  gcd(4x + 4, 6) is 2, not 1.  The gcd of the primitive
-parts is the heuristic GCDHEU at an integer xi >= 2 min(|a|, |b|) + 2,
-proved by an exact-division check, with a primitive pseudo-remainder
-sequence as its fallback; see poly_gcd_z.  A constant candidate is 1,
-which divides everything, so it is accepted without dividing.
+parts is the heuristic GCDHEU, each answer proved by exact division; see
+_heuristic_gcd.
 """
 
 from __future__ import annotations
@@ -216,9 +214,6 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
     return Poly(quo)
 
 
-HEU_GCD_TRIES = 6
-
-
 def _balanced_digits(n: int, xi: int) -> list[int]:
     # Ascending digits of n in base xi, each in (-xi/2, xi/2].
     half = xi // 2
@@ -242,18 +237,24 @@ def _primitive(p: Poly, content: int) -> Poly:
     return Poly(x // content for x in p.coeffs)
 
 
-def _heuristic_gcd(a: Poly, b: Poly) -> Poly | None:
-    """gcd of primitive a, b of positive degree by GCDHEU, or None.
+def _heuristic_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd of primitive a, b of positive degree by GCDHEU.
 
-    At xi >= 2 min(|a|, |b|) + 2 a primitive candidate that divides both
-    inputs is their gcd (Char, Geddes & Gonnet 1989), so every answer
-    returned is exact.  A constant candidate's primitive part is 1, which
-    divides both, so ONE is returned without the two divisions.  None when
-    HEU_GCD_TRIES values of xi, each larger than the last, all fail; xi
-    grows as in sympy's dup_zz_heu_gcd.
+    Evaluate both at an integer xi, starting at 2 min(|a|, |b|) + 2 (max
+    norms), take the integer gcd, and read its balanced base-xi digits as
+    a candidate.  At such an xi a primitive candidate that divides both
+    inputs is their gcd (Char, Geddes & Gonnet 1989), so exact_div proves
+    every answer.  A constant candidate's primitive part is 1, which
+    divides both, so ONE is returned without the two divisions.  A
+    rejected candidate makes xi larger, as in sympy's dup_zz_heu_gcd.
+
+    The loop ends.  Write a = g a' and b = g b'.  Then gcd(a(xi), b(xi))
+    is g(xi) delta, where delta divides the nonzero resultant R of a' and
+    b'.  Once xi > 2 |R| |g|, the balanced digits are delta g, whose
+    primitive part g is proved; xi grows without bound, so it gets there.
     """
     xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
-    for _ in range(HEU_GCD_TRIES):
+    while True:
         h = _balanced_digits(math.gcd(a.eval_at(xi), b.eval_at(xi)), xi)
         if len(h) == 1:
             return ONE
@@ -261,34 +262,6 @@ def _heuristic_gcd(a: Poly, b: Poly) -> Poly | None:
         if exact_div(a, candidate) is not None and exact_div(b, candidate) is not None:
             return candidate
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
-def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of primitive a, b by the primitive pseudo-remainder sequence.
-
-    Ascending int lists, both changed in place.  Each step replaces the
-    longer list by the primitive part of its pseudo-remainder: the top
-    term of lc(b) * a - a_top * x**shift * b cancels and is popped.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        db = len(b) - 1
-        lead = b[-1]
-        while len(a) > db:
-            top = a.pop()
-            shift = len(a) - db
-            if lead != 1:
-                a[:] = [x * lead for x in a]
-            for i in range(db):
-                a[shift + i] -= top * b[i]
-            while a and a[-1] == 0:
-                a.pop()
-        if a:
-            a[:] = Poly(a).primitive_part().coeffs
-        a, b = b, a
-    return a
 
 
 def poly_gcd_z(p: Poly, q: Poly) -> Poly:
@@ -296,14 +269,7 @@ def poly_gcd_z(p: Poly, q: Poly) -> Poly:
 
     Canonical representative: positive leading coefficient.  gcd(p, 0) is
     p sign-normalized and gcd(0, 0) = 0.  Computed as gcd of contents times
-    the gcd of primitive parts.  The latter comes from the heuristic gcd
-    GCDHEU: evaluate at an integer xi >= 2 min(|a|, |b|) + 2 (max norms of
-    the primitive parts), take the integer gcd, interpolate in balanced
-    base xi, and accept the primitive candidate only when exact_div
-    divides both primitive parts by it, which at this xi proves it is the
-    gcd; a constant candidate is 1 and divides both, so it needs no
-    division.  After six rejected values of xi it falls back to a
-    primitive pseudo-remainder sequence on int lists.
+    the gcd of primitive parts, which _heuristic_gcd finds by GCDHEU.
 
     >>> poly_gcd_z(Poly([0, 2, 0, 1]), Poly([0, 3, 0, 4, 0, 1]))
     Poly('x')
@@ -318,8 +284,5 @@ def poly_gcd_z(p: Poly, q: Poly) -> Poly:
     c = math.gcd(cp, cq)
     if len(p.coeffs) == 1 or len(q.coeffs) == 1:
         return Poly([c])
-    a, b = _primitive(p, cp), _primitive(q, cq)
-    h = _heuristic_gcd(a, b)
-    if h is None:
-        h = Poly(_prs_gcd(list(a.coeffs), list(b.coeffs)))
+    h = _heuristic_gcd(_primitive(p, cp), _primitive(q, cq))
     return h if c == 1 else h * c

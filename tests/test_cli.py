@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import gfpoly
-from gfpoly import families, gcd_theorems
+from gfpoly import families, gcd_theorems, identities
 from gfpoly.cli import TABLE_ROWS, main
+from gfpoly.gcd_theorems import GcdCase
+from gfpoly.polyring import ONE, Poly
 from polytext import reference_parse
 
 FIB_JSON = json.dumps({
@@ -237,6 +239,12 @@ class TestGcd:
         assert status == 2
         assert "nonnegative" in err
 
+    def test_check_that_disagrees_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(gcd_theorems, "gcd_lucas_closed", lambda *args: (Poly([7]), GcdCase.LUCAS_EQUAL_E2))
+        status, out, _ = run_cli(capsys, "gcd", "lucas", "3", "lucas", "9", "--check")
+        assert status == 1
+        assert out.splitlines()[-1] == "agrees: false"
+
 
 class TestVerify:
     def test_single_group_text(self, capsys):
@@ -287,6 +295,14 @@ class TestVerify:
                                  "--seed", "2", "--max-index", "8")
         assert status == 0
         assert out.strip().splitlines()[-1].endswith(" 0 failed")
+
+    def test_failed_report_exits_one(self, capsys, monkeypatch):
+        # A witness of 1 is right only for q = 1, so (m, q) = (3, 3) fails.
+        monkeypatch.setattr(identities, "exact_div", lambda num, den: ONE)
+        status, out, _ = run_cli(capsys, "verify", "--identity", "odd-divisor",
+                                 "--families", "lucas", "--max-index", "3")
+        assert status == 1
+        assert out.splitlines()[-1] == "total: 3 passed, 1 failed"
 
     def test_registry_holds_one_pair_at_a_time(self, capsys):
         # The last pair's Fibonacci and Lucas terms and its powers of g.
@@ -432,6 +448,12 @@ class TestTable:
         assert len(calls) == per_row * len(TABLE_ROWS)
         if table != 5:
             assert all(m <= n for _, _, m, n in calls)
+
+    def test_row_that_disagrees_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(gcd_theorems, "gcd_fib_closed", lambda *args: Poly([7]))
+        status, out, _ = run_cli(capsys, "table", "3", "--max-index", "4")
+        assert status == 1
+        assert all("0/16 agree" in line for line in out.splitlines())
 
     def test_max_index_cap(self, capsys):
         status, _, err = run_cli(capsys, "table", "3", "--max-index", "65")

@@ -231,6 +231,12 @@ class TestCompare:
         assert not report.agrees
         assert report.oracle == Poly([0, 1])
 
+    def test_oracle_refuses_negative_indices(self):
+        assert oracle_gcd(FIB, LUC, 0, 0) == Poly([2])
+        for m, n in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                oracle_gcd(FIB, LUC, m, n)
+
     def test_json_shape(self):
         report = GcdReport(3, 9, Poly([0, 1]), Poly([0, 1]), True, GcdCase.FIB_STRONG)
         assert report.to_json() == {

@@ -124,6 +124,11 @@ class TestDiscriminantLaws:
                 first, second = check_discriminant_laws(fib, lucas, m, n)
                 assert first.passed and second.passed, (fib_name, m, n)
 
+    def test_negative_index(self):
+        for m, n in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                check_discriminant_laws(FIB, LUC, m, n)
+
 
 class TestLucasAddition:
     def test_frozen_chebyshev(self):
@@ -140,6 +145,11 @@ class TestLucasAddition:
     def test_wrong_kind(self):
         with pytest.raises(ValueError):
             check_lucas_addition(FIB, 1, 2)
+
+    def test_order_enforced(self):
+        for m, n in [(-1, 2), (3, 2)]:
+            with pytest.raises(ValueError):
+                check_lucas_addition(LUC, m, n)
 
 
 class TestDecomposeModGm:
@@ -238,6 +248,16 @@ class TestDividesIff:
         for m in range(1, 13):
             for n in range(1, 13):
                 assert divides_iff(FIB, m, n).passed, (m, n)
+
+    def test_zero_divisor_divides_only_zero(self):
+        # d = 1, g = -1 runs 0, 1, 1, 0, -1, -1, 0: F[3] = F[6] = 0.
+        fib = Family.from_json({"name": "period-6", "kind": "fibonacci", "d": ["1"], "g": ["-1"],
+                                "p0": [], "p1": ["1"]})
+        assert [sequence(fib).term(n) for n in range(7)] == [Poly([c]) for c in (0, 1, 1, 0, -1, -1, 0)]
+        for m in (3, 6):
+            for n in range(1, 7):
+                report = divides_iff(fib, m, n)
+                assert report.passed and report.witness is None, (m, n)
 
     def test_positive_indices_required(self):
         with pytest.raises(ValueError):

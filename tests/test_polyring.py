@@ -4,16 +4,17 @@ exact_div is checked against an independent reference that divides over
 the rationals and then validates integrality.  poly_gcd_z is checked on
 hand-expanded products and through algebraic laws; the theorem-level
 suites elsewhere lean on it as the oracle, so it gets the heaviest
-property coverage here.  Its heuristic path is checked against a
-Poly-based primitive remainder sequence and, when sympy is installed,
-against sympy; its fallback path reruns the gcd laws with the heuristic
-switched off.  str is checked to be injective by reading its output back
-with the position scanner in polytext.
+property coverage here.  It is checked against a Poly-based primitive
+remainder sequence and, when sympy is installed, against sympy, and on
+inputs that need many values of xi before GCDHEU's proof succeeds.  str
+is checked to be injective by reading its output back with the position
+scanner in polytext.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 # mul and exact_div skip the zero coefficients of their inner operand.
 sparse_polys = st.builds(Poly, st.lists(st.one_of(st.just(0), st.just(0), st.integers(-40, 40)), max_size=30))
 nonzero_sparse_polys = sparse_polys.filter(lambda p: not p.is_zero)
+content_factors = st.integers(-12, 12).filter(bool)
 
 
 def reference_mul(p: Poly, q: Poly) -> Poly:
@@ -164,6 +166,13 @@ class TestArithmetic:
         assert Poly([1, 2]) * 3 == Poly([3, 6])
         assert -2 * Poly([1, 2]) == Poly([-2, -4])
         assert Poly([1, 2]) * 0 == ZERO
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_str_operand_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(Poly([1, 2]), "x")
+        with pytest.raises(TypeError):
+            op("x", Poly([1, 2]))
 
     def test_eval_at(self):
         assert Poly([3, 0, 4, 0, 1]).eval_at(2) == 35
@@ -326,6 +335,11 @@ class TestGcd:
     def test_constants_reduce_to_integer_gcd(self, a, b):
         assert poly_gcd_z(Poly([a]), Poly([b])) == Poly([math.gcd(a, b)])
 
+    @given(polys, polys, content_factors, content_factors)
+    def test_content_is_gcd_of_contents(self, p, q, k, m):
+        g = poly_gcd_z(p * k, q * m)
+        assert g.content() == math.gcd((p * k).content(), (q * m).content())
+
 
 class TestGcdProof:
     """The divisions GCDHEU runs to prove its answer, and its sign and content."""
@@ -360,61 +374,47 @@ class TestGcdProof:
         assert poly_gcd_z(Poly([-3, 0, -3]), Poly([0, -1, 0, -1])) == Poly([1, 0, 1])
 
 
-content_factors = st.integers(-12, 12).filter(bool)
+def _linear_product(*roots: tuple[int, int]) -> Poly:
+    # The product of the factors s*x - r, one for each (r, s).
+    out = ONE
+    for r, s in roots:
+        out = out * Poly([-r, s])
+    return out
 
 
-@pytest.fixture(scope="class")
-def prs_only():
-    """poly_gcd_z with a heuristic that always fails, so the PRS answers."""
-    skipped = []
+class TestGcdRetries:
+    """GCDHEU makes xi larger after each rejected candidate until one is proved."""
 
-    def failing(a, b):
-        skipped.append((a, b))
-        return None
+    @pytest.fixture
+    def xis(self, monkeypatch):
+        calls = []
+        digits = polyring._balanced_digits
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyring, "_heuristic_gcd", failing)
-        yield skipped
+        def counting(n, xi):
+            calls.append(xi)
+            return digits(n, xi)
 
+        monkeypatch.setattr(polyring, "_balanced_digits", counting)
+        return calls
 
-@pytest.mark.usefixtures("prs_only")
-class TestGcdPrsFallback:
-    """The gcd laws again, answered by the fallback PRS alone."""
+    def test_seventh_value_of_xi_proves_a_coprime_pair(self, xis):
+        # |b| = 1, so xi starts at 4; the first six candidates all fail to divide.
+        a = _linear_product((9, 1), (9, 1), (7, 1), (6, 1), (3, 1), (-2, 1), (-2, 1), (-2, 1), (-5, 1),
+                            (-7, 1), (-7, 1), (-7, 1), (-9, 1), (-9, 2), (7, 4))
+        b = Poly([0, 0, 0, -1, 0, 1])
+        for p, q in ((a, b), (b, a)):
+            xis.clear()
+            assert poly_gcd_z(p, q) == ONE == reference_gcd(p, q)
+            assert [xi.bit_length() for xi in xis] == [3, 4, 5, 8, 11, 15, 19]
 
-    def test_heuristic_is_bypassed(self, prs_only):
-        before = len(prs_only)
-        assert poly_gcd_z(Poly([-1, 0, 1]), Poly([1, 2, 1])) == Poly([1, 1])
-        assert len(prs_only) == before + 1
-
-    def test_known_values(self):
-        assert poly_gcd_z(Poly([0, 2, 0, 1]), Poly([0, 3, 0, 4, 0, 1])) == X
-        f = Poly([1, 1]) * Poly([3, 0, 2])
-        g = Poly([-2, 1]) * Poly([3, 0, 2])
-        assert poly_gcd_z(f, g) == Poly([3, 0, 2])
-        assert poly_gcd_z(Poly([1, 0, 1]), X) == ONE
-
-    @given(polys, polys)
-    def test_commutative(self, p, q):
-        assert poly_gcd_z(p, q) == poly_gcd_z(q, p)
-
-    @given(polys, polys, content_factors, content_factors)
-    def test_content_is_gcd_of_contents(self, p, q, k, m):
-        g = poly_gcd_z(p * k, q * m)
-        assert g.content() == math.gcd((p * k).content(), (q * m).content())
-
-    @settings(max_examples=60)
-    @given(polys, polys, nonzero_polys)
-    def test_common_factor_scales(self, p, q, r):
-        assert poly_gcd_z(p * r, q * r) == (poly_gcd_z(p, q) * r).normalized()
-
-    @given(st.integers(-300, 300), st.integers(-300, 300))
-    def test_constants_reduce_to_integer_gcd(self, a, b):
-        assert poly_gcd_z(Poly([a]), Poly([b])) == Poly([math.gcd(a, b)])
-
-    @given(polys, polys, nonzero_polys, content_factors, content_factors)
-    def test_products_match_reference(self, p, q, r, k, m):
-        a, b = p * r * k, q * r * m
-        assert poly_gcd_z(a, b) == reference_gcd(a, b)
+    def test_sixth_value_of_xi_proves_a_common_factor(self, xis):
+        a = _linear_product((0, 1), (2, 1), (2, 1), (1, 1), (-1, 1), (-1, 1))
+        b = _linear_product((0, 1), (9, 1), (8, 1), (5, 1), (4, 1), (2, 1), (-2, 1), (5, 2), (1, 2),
+                            (-1, 2), (-7, 2), (-5, 3), (7, 4), (5, 4), (1, 4), (-9, 4), (-9, 4))
+        for p, q in ((a, b), (b, a)):
+            xis.clear()
+            assert poly_gcd_z(p, q) == Poly([0, -2, 1]) == reference_gcd(p, q)
+            assert len(xis) == 6
 
 
 @pytest.fixture(scope="module")
