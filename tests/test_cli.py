@@ -328,6 +328,13 @@ class TestVerify:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_seed_defaults_to_zero(self, capsys):
+        args = ("verify", "--identity", "convolution", "--families", "random:2", "--max-index", "2", "--json")
+        _, default, _ = run_cli(capsys, *args)
+        _, zero, _ = run_cli(capsys, *args, "--seed", "0")
+        _, one, _ = run_cli(capsys, *args, "--seed", "1")
+        assert default == zero != one
+
     def test_unknown_identity(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--identity", "nope")
         assert status == 2
@@ -353,6 +360,12 @@ class TestVerify:
         assert proc.returncode == 2
         assert out == ""
         assert err == f"gfp: random family count {count} exceeds the cap of 10000\n"
+
+    def test_random_count_at_the_cap_is_accepted(self, capsys):
+        status, out, _ = run_cli(capsys, "verify", "--identity", "dic2-pow2",
+                                 "--families", "random:10000", "--max-index", "1")
+        assert status == 0
+        assert out.splitlines()[-1] == "total: 10000 passed, 0 failed"
 
     def test_bad_max_index(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--max-index", "0")
@@ -454,6 +467,27 @@ class TestTable:
         status, out, _ = run_cli(capsys, "table", "3", "--max-index", "4")
         assert status == 1
         assert all("0/16 agree" in line for line in out.splitlines())
+
+    def test_unequal_e2_value_one_must_also_match_the_oracle(self, capsys, monkeypatch):
+        # A wrong theorem that answers 1 everywhere agrees only where the
+        # oracle is 1, even though every point then carries table 4's value.
+        monkeypatch.setattr(gcd_theorems, "gcd_lucas_closed", lambda *args: (ONE, GcdCase.LUCAS_UNEQUAL_E2))
+        status, out, _ = run_cli(capsys, "table", "4", "--max-index", "4", "--json")
+        assert status == 1
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(row["row"], row["agree"]) for row in rows] == [
+            ("lucas", 10), ("pell-lucas-prime", 10), ("fermat-lucas", 10), ("chebyshev1", 10),
+            ("jacobsthal-lucas", 13), ("morgan-voyce-c", 10)]
+        assert all(row["unequal_e2_equal_one"] == [16, 16] for row in rows)
+
+    def test_table4_without_unequal_e2_points(self, capsys):
+        status, out, _ = run_cli(capsys, "table", "4", "--max-index", "1", "--json")
+        assert status == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == len(TABLE_ROWS)
+        for row in rows:
+            assert row["cases"] == {"LucasEqualE2": 1}
+            assert row["unequal_e2_equal_one"] == [0, 0]
 
     def test_max_index_cap(self, capsys):
         status, _, err = run_cli(capsys, "table", "3", "--max-index", "65")

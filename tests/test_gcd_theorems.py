@@ -15,7 +15,7 @@ import random
 import pytest
 
 import gfpoly.gcd_theorems as gcd_theorems_module
-from gfpoly.families import VALID, Family, Kind, NotEquivalentError, builtin_family, random_pair, sequence
+from gfpoly.families import BUILTIN, VALID, Family, Kind, NotEquivalentError, builtin_family, random_pair, sequence
 from gfpoly.gcd_theorems import (
     GcdCase,
     GcdReport,
@@ -252,6 +252,13 @@ class TestCompare:
 class TestMinEvenIndex:
     def test_paper_2x1(self):
         assert min_even_index(builtin_family("paper-2x1-lucas"), 12) == 3
+
+    def test_answer_at_the_bound(self):
+        f = builtin_family("paper-2x1-lucas")
+        assert min_even_index(f, 3) == 3
+        assert min_even_index(f, 2) is None
+        # The invalid pell-lucas has gcd(L[1], p0) = gcd(2x, 2) = 2.
+        assert min_even_index(BUILTIN["pell-lucas"], 1) == 1
 
     def test_families_without_even_gcd(self):
         # p0 = 1 families can never reach 2; the classical Lucas family has
