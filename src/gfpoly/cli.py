@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from itertools import product
 
 from .families import (
     BUILTIN,
@@ -31,9 +30,9 @@ from .families import (
     random_pair,
     sequence,
 )
-from .gcd_theorems import GcdCase, closed_gcd, compare, oracle_gcd
+from .gcd_theorems import GcdCase, closed_gcd, compare, iter_table, oracle_gcd
 from .identities import IDENTITY_GROUPS, iter_reports
-from .polyring import ONE, Poly
+from .polyring import ONE
 
 MAX_TERM_INDEX = 10_000
 MAX_RANDOM_PAIRS = 10_000  # verify draws every pair before it prints
@@ -193,50 +192,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _table_row(table: int, name: str, max_index: int) -> dict:
-    """One row of table 3 (F, F), 4 (L, L) or 5 (F, L) over the index grid."""
-    fib, lucas = BUILTIN[name], BUILTIN[PARTNER[name]]
-    fa, fb = {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[table]
-    agree = ones_seen = 0
-    cases: dict[str, int] = {}
-    oracles: dict[tuple[int, int], Poly] = {}
-    for m, n in product(range(1, max_index + 1), repeat=2):
-        closed, case = closed_gcd(fa, fb, m, n)
-        if fa is fb and m > n:  # the canonical gcd is symmetric: reuse (n, m)'s oracle
-            oracle = oracles[n, m]
-        else:
-            oracle = oracles[m, n] = compare(fa, fb, m, n, closed, case).oracle
-        ok = closed == oracle
-        if case is GcdCase.LUCAS_UNEQUAL_E2:
-            ones_seen += closed == ONE
-            ok = ok and closed == ONE
-        agree += ok
-        cases[case.value] = cases.get(case.value, 0) + 1
-    label = fa.name if fa is fb else f"{fa.name}/{fb.name}"
-    row = {"table": table, "row": label, "max_index": max_index,
-           "agree": agree, "total": max_index * max_index, "cases": cases}
-    if table == 4:
-        row["unequal_e2_equal_one"] = [ones_seen, cases.get(GcdCase.LUCAS_UNEQUAL_E2.value, 0)]
-    return row
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.max_index <= MAX_TABLE_INDEX:
         raise UsageError(f"--max-index must be in 1..{MAX_TABLE_INDEX}")
+    k = args.max_index
     status = 0
     for name in TABLE_ROWS:
-        row = _table_row(args.which, name, args.max_index)
-        if row["agree"] != row["total"]:
+        fib, lucas = BUILTIN[name], BUILTIN[PARTNER[name]]
+        agree = ones_seen = 0
+        cases: dict[str, int] = {}
+        for report in iter_table(args.which, fib, lucas, k):
+            ok = report.agrees
+            if report.case is GcdCase.LUCAS_UNEQUAL_E2:  # table 4 claims the value 1 there
+                ones_seen += report.closed_form == ONE
+                ok = ok and report.closed_form == ONE
+            agree += ok
+            cases[report.case.value] = cases.get(report.case.value, 0) + 1
+        label = {3: fib.name, 4: lucas.name}.get(args.which, f"{fib.name}/{lucas.name}")
+        row = {"table": args.which, "row": label, "max_index": k,
+               "agree": agree, "total": k * k, "cases": cases}
+        if args.which == 4:
+            row["unequal_e2_equal_one"] = [ones_seen, cases.get(GcdCase.LUCAS_UNEQUAL_E2.value, 0)]
+        if agree != k * k:
             status = 1
         if args.json:
             print(json.dumps(row))
         else:
-            case_text = ", ".join(f"{k}={v}" for k, v in sorted(row["cases"].items()))
-            extra = ""
-            if args.which == 4:
-                seen, expected = row["unequal_e2_equal_one"]
-                extra = f", unequal-E2 gcd=1: {seen}/{expected}"
-            print(f"table {args.which} | {row['row']}: {row['agree']}/{row['total']} agree ({case_text}{extra})")
+            case_text = ", ".join(f"{key}={v}" for key, v in sorted(cases.items()))
+            extra = ", unequal-E2 gcd=1: {}/{}".format(*row["unequal_e2_equal_one"]) if args.which == 4 else ""
+            print(f"table {args.which} | {label}: {agree}/{k * k} agree ({case_text}{extra})")
     return status
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import product
+from typing import Iterator
 
 from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
 from .polyring import Poly, poly_gcd_z
@@ -130,6 +132,20 @@ def compare(family_a: Family, family_b: Family, m: int, n: int,
     """Pit a closed form against the brute-force oracle for one index pair."""
     oracle = oracle_gcd(family_a, family_b, m, n)
     return GcdReport(m, n, closed, oracle, closed == oracle, case)
+
+
+def iter_table(table: int, fib: Family, lucas: Family, max_index: int) -> Iterator[GcdReport]:
+    """Table 3 (F, F), 4 (L, L) or 5 (F, L) of an equivalent pair, in row-major (m, n) order."""
+    fa, fb = {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[table]
+    oracles: dict[tuple[int, int], Poly] = {}
+    for m, n in product(range(1, max_index + 1), repeat=2):
+        closed, case = closed_gcd(fa, fb, m, n)
+        if fa is fb and m > n:  # the canonical gcd is symmetric: reuse (n, m)'s oracle
+            yield GcdReport(m, n, closed, oracles[n, m], closed == oracles[n, m], case)
+        else:
+            report = compare(fa, fb, m, n, closed, case)
+            oracles[m, n] = report.oracle
+            yield report
 
 
 def min_even_index(family: Family, bound: int) -> int | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import doctest
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -25,6 +26,7 @@ from gfpoly.gcd_theorems import (
     gcd_lucas_closed,
     gcd_mixed_closed,
     gcd_with_initial,
+    iter_table,
     min_even_index,
     oracle_gcd,
     two_adic_valuation,
@@ -307,6 +309,22 @@ class TestClosedFormsOnRandomPairs:
                             twos += even
         assert (points, otherwise) == (5760, 2880)
         assert 0 < twos < otherwise
+
+
+class TestIterTable:
+    def test_reports_match_a_fresh_compare_at_every_point(self):
+        # r1's Lucas partner has min_even_index 3, so table 4 has points
+        # whose closed form, like the oracle, is 2 and not table 4's value 1.
+        fib, lucas = _random_pairs()[1]
+        assert min_even_index(lucas, 8) == 3
+        for table, (fa, fb) in {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}.items():
+            reports = list(iter_table(table, fib, lucas, 8))
+            assert [(r.m, r.n) for r in reports] == list(product(range(1, 9), repeat=2))
+            for r in reports:
+                assert r == compare(fa, fb, r.m, r.n, *closed_gcd(fa, fb, r.m, r.n)), (table, r.m, r.n)
+                assert r.agrees, (table, r.m, r.n)
+            if table == 4:
+                assert Poly([2]) in {r.closed_form for r in reports}
 
 
 class TestStrongDivisibilityCharacterization:
