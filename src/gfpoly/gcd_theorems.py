@@ -135,7 +135,7 @@ def compare(family_a: Family, family_b: Family, m: int, n: int,
 
 
 def iter_table(table: int, fib: Family, lucas: Family, max_index: int) -> Iterator[GcdReport]:
-    """Table 3 (F, F), 4 (L, L) or 5 (F, L) of an equivalent pair, in row-major (m, n) order."""
+    """Reports of table 3 (F, F), 4 (L, L) or 5 (F, L) of an equivalent pair, row-major in (m, n)."""
     fa, fb = {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[table]
     oracles: dict[tuple[int, int], Poly] = {}
     for m, n in product(range(1, max_index + 1), repeat=2):
