@@ -550,6 +550,20 @@ class TestFamilyJson:
         }
 
 
+class TestFamilyRecord:
+    def test_fields_cannot_be_set(self):
+        fib = BUILTIN["fibonacci"]
+        for name in ("name", "kind", "d", "g", "p0", "p1", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(fib, name, ZERO)
+        assert fib.d == X and fib.name == "fibonacci"
+
+    def test_repr(self):
+        assert repr(BUILTIN["fibonacci"]) == (
+            "Family(name='fibonacci', kind=<Kind.FIBONACCI: 'fibonacci'>, "
+            "d=Poly('x'), g=Poly('1'), p0=Poly('0'), p1=Poly('1'))")
+
+
 class TestRandomPair:
     def test_deterministic_for_seed(self):
         a = random_pair(random.Random(42), "r")

@@ -251,6 +251,20 @@ class TestCompare:
         }
 
 
+    def test_fields_cannot_be_set(self):
+        report = compare(FIB, FIB, 2, 4, *closed_gcd(FIB, FIB, 2, 4))
+        for name in ("m", "n", "closed_form", "oracle", "agrees", "case", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, 0)
+        assert (report.m, report.n, report.agrees) == (2, 4, True)
+
+    def test_repr(self):
+        report = compare(FIB, FIB, 2, 4, *closed_gcd(FIB, FIB, 2, 4))
+        assert repr(report) == (
+            "GcdReport(m=2, n=4, closed_form=Poly('x'), oracle=Poly('x'), "
+            "agrees=True, case=<GcdCase.FIB_STRONG: 'FibStrong'>)")
+
+
 class TestMinEvenIndex:
     def test_paper_2x1(self):
         assert min_even_index(builtin_family("paper-2x1-lucas"), 12) == 3

@@ -502,6 +502,18 @@ class TestReportJson:
         report = IdentityReport("demo", "f", (0,), ONE, Poly([2]), False)
         assert report.to_json()["pass"] is False
 
+    def test_fields_cannot_be_set(self):
+        report = check_convolution(FIB, 1, 2)
+        for name in ("identity_id", "family", "params", "lhs", "rhs", "passed", "witness", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+        assert report.passed and report.witness is None
+
+    def test_repr(self):
+        assert repr(check_convolution(FIB, 1, 2)) == (
+            "IdentityReport(identity_id='convolution', family='fibonacci', params=(1, 2), "
+            "lhs=Poly('x^3 + 2x'), rhs=Poly('x^3 + 2x'), passed=True, witness=None)")
+
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(0, 12), n=st.integers(0, 12))

@@ -13,8 +13,10 @@ scanner in polytext.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,34 @@ class TestHash:
         assert repr(hashed) == repr(fresh) == "Poly('-x^2 + 3')"
         assert hashed.to_json() == fresh.to_json() == ["3", "0", "-1"]
         assert Poly.from_json(hashed.to_json()) == hashed
+
+
+class TestImmutability:
+    """A Poly cannot change once built, and equals only another Poly."""
+
+    def test_attributes_cannot_be_assigned_or_deleted(self):
+        p = Poly([1, 2])
+        hash(p)
+        for name in ("coeffs", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (5,))
+        for name in ("coeffs", "_hash"):
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p.coeffs == (1, 2) and hash(p) == hash((1, 2))
+
+    def test_equals_no_other_type(self):
+        assert not Poly([1]) == 1 and Poly([1]) != 1
+        assert not Poly([1]) == (1,) and Poly([1]) != (1,)
+        assert not Poly() == () and not Poly() == 0
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_copies_and_pickles_equal_the_original(self, hashed):
+        p = Poly([3, 0, -1])
+        if hashed:
+            hash(p)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
 
 
 class TestArithmetic:
