@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from dataclasses import dataclass
 from operator import add, neg, sub
+from typing import NamedTuple
 
 from .polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
 
@@ -39,8 +39,7 @@ class NotEquivalentError(ValueError):
     """The two families do not share the same recurrence (d, g)."""
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     name: str
     kind: Kind
     d: Poly

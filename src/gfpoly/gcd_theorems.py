@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
 from .polyring import Poly, poly_gcd_z
@@ -34,8 +33,7 @@ class GcdCase(enum.Enum):
     MIXED_OTHERWISE = "MixedOtherwise"
 
 
-@dataclass(frozen=True)
-class GcdReport:
+class GcdReport(NamedTuple):
     m: int
     n: int
     closed_form: Poly

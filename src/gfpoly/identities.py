@@ -29,16 +29,14 @@ Checked shapes, with all indices restricted as noted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .families import Family, Kind, _step, require_kind, require_pair, require_positive, sequence
 from .polyring import ONE, ZERO, Poly, exact_div, poly_gcd_z
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     family: str
     params: tuple[int, ...]

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True, init=False)
 class Poly:
     """An element of Z[x].
 
-    Immutable; hash(coeffs) is computed on the first hash and kept, so a
-    Poly used as a dict key again and again is hashed once.
+    Immutable: setting or deleting an attribute raises AttributeError.  The
+    slot _hash keeps hash(coeffs), so a Poly used as a dict key is hashed once.
 
     >>> Poly([1, 0, 1])
     Poly('x^2 + 1')
@@ -34,14 +32,22 @@ class Poly:
     True
     """
 
+    __slots__ = ("coeffs", "_hash")
     coeffs: tuple[int, ...]
-    _hash = None  # not a field: ==, repr and to_json never see it
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Poly is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # for copy and pickle, whose slot state __setattr__ refuses
+        return Poly, (self.coeffs,)
 
     @property
     def is_zero(self) -> bool:
@@ -57,12 +63,15 @@ class Poly:
         """Leading coefficient; 0 for the zero polynomial."""
         return self.coeffs[-1] if self.coeffs else 0
 
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if isinstance(other, Poly) else NotImplemented
+
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:  # the first hash
+            object.__setattr__(self, "_hash", hash(self.coeffs))
+        return self._hash
 
     def __bool__(self) -> bool:
         return not self.is_zero

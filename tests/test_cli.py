@@ -501,3 +501,21 @@ class TestTable:
             main(["table", "6"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestImport:
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # Every gfp process pays for this import before any work; dataclasses
+        # alone pulled in inspect, ast, dis and tokenize.  A bare interpreter's
+        # own modules (site may preload some) are subtracted.
+        src = str(Path(gfpoly.__file__).resolve().parents[1])
+
+        def modules_after(statement: str) -> set[str]:
+            code = f"{statement}; import sys; print(*sys.modules)"
+            out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                                 capture_output=True, text=True, check=True, timeout=60).stdout
+            return set(out.split())
+
+        added = modules_after("import gfpoly.cli") - modules_after("pass")
+        assert "gfpoly.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}
