@@ -30,7 +30,7 @@ from .families import (
     random_pair,
     sequence,
 )
-from .gcd_theorems import GcdCase, closed_gcd, compare, iter_table, oracle_gcd
+from .gcd_theorems import GcdCase, closed_gcd, compare, iter_table, oracle_gcd, table_pair
 from .identities import IDENTITY_GROUPS, iter_reports
 from .polyring import ONE
 
@@ -208,7 +208,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                 ok = ok and report.closed_form == ONE
             agree += ok
             cases[report.case.value] = cases.get(report.case.value, 0) + 1
-        label = {3: fib.name, 4: lucas.name}.get(args.which, f"{fib.name}/{lucas.name}")
+        fa, fb = table_pair(args.which, fib, lucas)
+        label = fa.name if fa is fb else f"{fa.name}/{fb.name}"
         row = {"table": args.which, "row": label, "max_index": k,
                "agree": agree, "total": k * k, "cases": cases}
         if args.which == 4:

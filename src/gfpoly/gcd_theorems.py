@@ -132,9 +132,14 @@ def compare(family_a: Family, family_b: Family, m: int, n: int,
     return GcdReport(m, n, closed, oracle, closed == oracle, case)
 
 
+def table_pair(table: int, fib: Family, lucas: Family) -> tuple[Family, Family]:
+    """The families that table 3 (F, F), 4 (L, L) or 5 (F, L) takes gcds of."""
+    return {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[table]
+
+
 def iter_table(table: int, fib: Family, lucas: Family, max_index: int) -> Iterator[GcdReport]:
-    """Reports of table 3 (F, F), 4 (L, L) or 5 (F, L) of an equivalent pair, row-major in (m, n)."""
-    fa, fb = {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[table]
+    """Reports of table 3, 4 or 5 of an equivalent pair, row-major in (m, n); see table_pair."""
+    fa, fb = table_pair(table, fib, lucas)
     oracles: dict[tuple[int, int], Poly] = {}
     for m, n in product(range(1, max_index + 1), repeat=2):
         closed, case = closed_gcd(fa, fb, m, n)

@@ -29,6 +29,7 @@ from gfpoly.gcd_theorems import (
     iter_table,
     min_even_index,
     oracle_gcd,
+    table_pair,
     two_adic_valuation,
 )
 from gfpoly.polyring import ONE, Poly, poly_gcd_z
@@ -332,6 +333,8 @@ class TestIterTable:
         fib, lucas = _random_pairs()[1]
         assert min_even_index(lucas, 8) == 3
         for table, (fa, fb) in {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}.items():
+            pa, pb = table_pair(table, fib, lucas)
+            assert pa is fa and pb is fb
             reports = list(iter_table(table, fib, lucas, 8))
             assert [(r.m, r.n) for r in reports] == list(product(range(1, 9), repeat=2))
             for r in reports:
