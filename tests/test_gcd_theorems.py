@@ -251,7 +251,6 @@ class TestCompare:
             "agrees": True,
         }
 
-
     def test_fields_cannot_be_set(self):
         report = compare(FIB, FIB, 2, 4, *closed_gcd(FIB, FIB, 2, 4))
         for name in ("m", "n", "closed_form", "oracle", "agrees", "case", "extra"):
