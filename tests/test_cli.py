@@ -519,3 +519,27 @@ class TestImport:
         added = modules_after("import gfpoly.cli") - modules_after("pass")
         assert "gfpoly.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}
+
+
+class TestNoPolyHashed:
+    """The term registry is keyed by coefficient tuples, so no verb hashes a Poly."""
+
+    @pytest.mark.parametrize("argv", [
+        ["families"],
+        ["term", "fibonacci", "30"],
+        ["gcd", "fibonacci", "4", "lucas", "2", "--check"],
+        ["verify", "--max-index", "3"],
+        ["table", "5", "--max-index", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_verb_hashes_no_poly(self, capsys, monkeypatch, argv):
+        hashed = []
+        poly_hash = Poly.__hash__
+
+        def counting_hash(self):
+            hashed.append(self)
+            return poly_hash(self)
+
+        monkeypatch.setattr(Poly, "__hash__", counting_hash)
+        status, _, _ = run_cli(capsys, *argv)
+        assert status == 0
+        assert hashed == []

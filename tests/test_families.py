@@ -435,7 +435,7 @@ class TestRetainedPrefixAndTail:
 
     @pytest.mark.parametrize("rebuilt_first", [False, True])
     def test_equal_but_distinct_recurrence_polys_share_the_cache(self, rebuilt_first):
-        # One side's polys are hashed (and keep that hash) before the other's are.
+        # One side's recurrence is registered before the other's is looked up.
         clear_sequences()
         fib = builtin_family("fibonacci")
         rebuilt = Family("fib-again", fib.kind, X * ONE, ONE + ZERO, Poly([0, 0]), Poly((1, 0)))

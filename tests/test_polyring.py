@@ -131,7 +131,7 @@ class TestRepresentation:
 
 
 class TestHash:
-    """Poly keeps its hash after the first call; nothing else sees it."""
+    """Equal polys hash equal, and hashing a Poly changes nothing else about it."""
 
     @given(coeffs, polys, st.integers(0, 3))
     def test_equal_polys_hash_equal_whichever_is_hashed_first(self, cs, q, zeros):
