@@ -267,13 +267,13 @@ class SequenceCache:
         self._d, self._g = d.coeffs, g.coeffs
         self._prefix = [p0, p1]
         self._tail = (1, p0, p1)
-        self._g_poly, self._powers = g, None
+        self._powers = None
 
     def g_power(self, e: int) -> Poly:
         """The e-th power of g: term e of the recurrence P[e] = g * P[e-1],
         P[0] = 1, whose cache every recurrence over the same g shares."""
         if self._powers is None:  # not in __init__: the powers have powers of their own
-            self._powers = _shared(self._g_poly, ZERO, ONE, self._g_poly)
+            self._powers = _shared(self._g, ZERO.coeffs, ONE.coeffs, self._g)
         return self._powers.term(e)
 
     def term(self, n: int) -> Poly:
@@ -293,20 +293,21 @@ class SequenceCache:
         return t1
 
 
-# One cache per recurrence, keyed (d, g, p0, p1); clear_sequences() drops them all.
-_shared = functools.cache(SequenceCache)
+# One cache per recurrence, keyed by the coefficient tuples of (d, g, p0, p1)
+# so that a lookup hashes no Poly; clear_sequences() drops them all.
+_shared = functools.cache(lambda *coeffs: SequenceCache(*map(Poly, coeffs)))
 clear_sequences = _shared.cache_clear
 
 
 def sequence(family: Family) -> SequenceCache:
     """Shared cache per recurrence; callers in one process reuse computed terms.
 
-    The key is (d, g, p0, p1), not the family, so copies that differ only
-    in name share one cache.  The registry keeps each cache until
-    clear_sequences(), which `gfp verify` calls before each pair's sweep,
-    so a run holds one pair's terms at a time.
+    The key is the coefficients of (d, g, p0, p1), not the family, so
+    copies that differ only in name share one cache.  The registry keeps
+    each cache until clear_sequences(), which `gfp verify` calls before
+    each pair's sweep, so a run holds one pair's terms at a time.
     """
-    return _shared(family.d, family.g, family.p0, family.p1)
+    return _shared(family.d.coeffs, family.g.coeffs, family.p0.coeffs, family.p1.coeffs)
 
 
 def random_pair(rng: random.Random, name: str) -> tuple[Family, Family]:

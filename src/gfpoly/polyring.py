@@ -21,8 +21,8 @@ from typing import Iterable
 class Poly:
     """An element of Z[x].
 
-    Immutable: setting or deleting an attribute raises AttributeError.  The
-    slot _hash keeps hash(coeffs), so a Poly used as a dict key is hashed once.
+    Immutable: setting or deleting an attribute raises AttributeError.  It
+    hashes as its coefficient tuple, computed again on each call.
 
     >>> Poly([1, 0, 1])
     Poly('x^2 + 1')
@@ -32,7 +32,7 @@ class Poly:
     True
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -67,11 +67,7 @@ class Poly:
         return self.coeffs == other.coeffs if isinstance(other, Poly) else NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # the first hash
-            object.__setattr__(self, "_hash", hash(self.coeffs))
-        return self._hash
+        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero

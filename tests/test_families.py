@@ -375,7 +375,7 @@ def fresh_cache(family: Family) -> SequenceCache:
 
 def powers_of(g: Poly) -> SequenceCache:
     """The shared cache that serves g_power: P[e] = g * P[e-1], P[0] = 1."""
-    return families._shared(g, ZERO, ONE, g)
+    return families._shared(g.coeffs, ZERO.coeffs, ONE.coeffs, g.coeffs)
 
 
 @contextmanager
