@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gfpoly
-from gfpoly import families, gcd_theorems, identities
+from gfpoly import cli, families, gcd_theorems, identities
 from gfpoly.cli import TABLE_ROWS, main
 from gfpoly.gcd_theorems import GcdCase
 from gfpoly.polyring import ONE, Poly
@@ -196,6 +196,12 @@ class TestGcd:
         assert out.splitlines()[0] == "closed form: 2"
         assert "LucasUnequalE2" in out
 
+    def test_index_at_the_cap_is_accepted(self, capsys):
+        # gcd(10000, 1) = 1, so the closed form reads only F[1].
+        status, out, _ = run_cli(capsys, "gcd", "fibonacci", "10000", "fibonacci", "1")
+        assert status == 0
+        assert out == "closed form: 1\ncase: FibStrong\n"
+
     def test_mixed_pair_json(self, capsys):
         status, out, _ = run_cli(capsys, "gcd", "fibonacci", "4", "lucas", "2", "--json")
         assert status == 0
@@ -346,6 +352,9 @@ class TestVerify:
         assert "bad family spec" in err
         status, _, err = run_cli(capsys, "verify", "--families", "random:0")
         assert status == 2
+        status, _, err = run_cli(capsys, "verify", "--families", "random:2:1")
+        assert status == 2
+        assert "bad family spec" in err
 
     @pytest.mark.parametrize("count", ["10001", "99999999999"])
     def test_random_count_is_capped(self, count):
@@ -495,6 +504,18 @@ class TestTable:
         assert "1..64" in err
         status, _, _ = run_cli(capsys, "table", "3", "--max-index", "0")
         assert status == 2
+
+    def test_max_index_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_ROWS", ("fibonacci",))
+        status, out, _ = run_cli(capsys, "table", "3", "--max-index", "64")
+        assert status == 0
+        assert "4096/4096 agree" in out
+
+    def test_max_index_defaults_to_24(self, capsys):
+        status, out, _ = run_cli(capsys, "table", "3")
+        assert status == 0
+        assert "576/576 agree" in out
+        assert run_cli(capsys, "table", "3", "--max-index", "24") == (status, out, "")
 
     def test_invalid_table_number(self, capsys):
         with pytest.raises(SystemExit) as exc:
