@@ -22,7 +22,7 @@ class Poly:
     """An element of Z[x].
 
     Immutable: setting or deleting an attribute raises AttributeError.  It
-    hashes as its coefficient tuple, computed again on each call.
+    hashes as its coefficient tuple does.
 
     >>> Poly([1, 0, 1])
     Poly('x^2 + 1')

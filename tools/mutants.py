@@ -1,6 +1,6 @@
 """Mutation sampler: does some test fail when one operator of a module changes?
 
-    python tools/mutants.py MODULE [--sample N] [--seed S] [--list]
+    python tools/mutants.py MODULE [--sample N] [--list]
 
 MODULE is a module of src/gfpoly, such as cli.  A mutant makes one AST edit
 at one site: it flips a comparison (< and <=, > and >=, == and !=, is and
@@ -12,11 +12,12 @@ survives runs again against all of tests/.  One child runs at a time,
 under a 2 GiB address-space limit and a timeout; a timeout counts as a
 kill.  The unmutated copy must pass all of tests/ first.
 
-Every site is tried unless --sample N picks N of them (seeded by --seed,
-default 1).  Sites listed in EQUIVALENT are skipped: no test can tell
-those mutants from the original.  The exit status is 1 when a mutant
-survives all of tests/, else 0.  This is not part of the test suite: a
-mutant takes from 1 s to a minute.
+Every site is tried unless --sample N picks N of them, with the fixed
+seed SEED, so a sample is the same on every run.  Sites listed in
+EQUIVALENT are skipped: no test can tell those mutants from the
+original.  The exit status is 1 when a mutant survives all of tests/,
+else 0.  This is not part of the test suite: a mutant takes from 1 s to
+a minute.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 2 << 30
+SEED = 1
 
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -116,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module")
     parser.add_argument("--sample", type=int, help="try N sites, not all")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--list", action="store_true", help="list the sites and stop")
     args = parser.parse_args(argv)
     source = (ROOT / "src" / "gfpoly" / f"{args.module}.py").read_text()
@@ -127,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{i:4} line {lineno:4}  {edit:16}  {lines[lineno - 1]}")
         return 0
     if args.sample is not None:
-        found = sorted(random.Random(args.seed).sample(found, min(args.sample, len(found))))
+        found = sorted(random.Random(SEED).sample(found, min(args.sample, len(found))))
     own_tests = f"tests/test_{args.module}.py"
     counts = {"killed": 0, "equivalent": 0, "killed by tests/": 0, "survived": 0}
     with tempfile.TemporaryDirectory() as tmp:
