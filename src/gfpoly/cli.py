@@ -168,7 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     k = args.max_index
     if k < 1:
         raise UsageError("--max-index must be positive")
-    if k * k + k - 1 > MAX_TERM_INDEX:  # dic2-decompose reads L[k*k + k - 1]
+    if k * k + k - 1 > MAX_TERM_INDEX:  # dic2-decompose walks to L[k*k + k - 1]
         raise UsageError(f"--max-index {k} needs term index {k * k + k - 1}, past the cap of {MAX_TERM_INDEX}")
     pairs = _verify_pairs(args.families, args.seed)
     by_group: dict[str, list[int]] = {g: [0, 0] for g in groups}

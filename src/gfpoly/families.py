@@ -217,8 +217,8 @@ def equivalent_family(family: Family) -> Family:
 
 # Terms 0..RETAINED stay cached; past it a cache keeps two terms.  It must
 # cover the indices the identity catalog revisits out of order (verify
-# --max-index 14 reaches term 209 and g^98).  The dic2-decompose row walk
-# keeps its own state.
+# --max-index 14 reaches term 30 and g^98).  The dic2-decompose sweep walks
+# its witnesses and every target past L[k] itself.
 RETAINED = 256
 
 

@@ -5,8 +5,10 @@ verdict, and (for the divisibility decompositions) a quotient witness that
 re-multiplies to the original term.  Witnesses come from exact division,
 except in the dic2-decompose sweep, which seeds each row by the Lucas
 addition law from the witnesses two rows back, walks the rest of the row
-by the family's recurrence, and divides only when a candidate does not
-re-multiply.  Families named F below are Fibonacci type, L are Lucas
+by the family's recurrence, walks its targets by the recurrence too, and
+divides only when a candidate does not re-multiply.  Its re-multiply adds
+the correction into the same coefficient list and reports the target as
+rhs once they agree.  Families named F below are Fibonacci type, L are Lucas
 type; pair checks take an equivalent (F, L) pair sharing one recurrence
 (d, g) and use alpha = 2 / p0 of the Lucas side.
 
@@ -64,18 +66,10 @@ def _equation(identity_id: str, family: str, params: tuple[int, ...], lhs: Poly,
 
 
 def _decomposition(identity_id: str, family: str, params: tuple[int, ...],
-                   target: Poly, divisor: Poly, correction: Poly = ZERO,
-                   candidate: Poly | None = None) -> IdentityReport:
-    """Check target = divisor * witness + correction.  The witness is
-    re-multiplied into rhs, so pass means it exists and rhs equals target
-    bit for bit.  A candidate witness that re-multiplies to target is taken
-    as it is; the quotient in Z[x] is unique, so it is the one division
-    would find.  Otherwise, or without a candidate, the witness comes from
-    exact division."""
-    if candidate is not None and not divisor.is_zero:
-        rhs = divisor * candidate + correction
-        if rhs == target:
-            return IdentityReport(identity_id, family, params, target, rhs, True, candidate)
+                   target: Poly, divisor: Poly, correction: Poly = ZERO) -> IdentityReport:
+    """Check target = divisor * witness + correction, the witness from exact
+    division.  The witness is re-multiplied into rhs, so pass means it
+    exists and rhs equals target bit for bit."""
     witness = exact_div(target - correction, divisor)
     rhs = divisor * witness + correction if witness is not None else correction
     return IdentityReport(identity_id, family, params, target, rhs, witness is not None and target == rhs, witness)
@@ -120,6 +114,12 @@ def check_addition_cross(fib: Family, lucas: Family, m: int, n: int) -> Identity
 
 
 def check_discriminant_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple[IdentityReport, IdentityReport]:
+    return _discriminant_laws(fib, lucas, m, n, fib.discriminant())
+
+
+def _discriminant_laws(fib: Family, lucas: Family, m: int, n: int,
+                       discriminant: Poly) -> tuple[IdentityReport, IdentityReport]:
+    """check_discriminant_laws with d^2 + 4g given, so a sweep computes it once."""
     label = require_pair(fib, lucas, "check_discriminant_laws")
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -129,7 +129,7 @@ def check_discriminant_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple
     outer, inner = l(m + 1) * l(n + 1), l(m) * l(n)
     first = _equation(
         "discriminant-fib", label, (m, n),
-        fib.discriminant() * f(m + n + 1),
+        discriminant * f(m + n + 1),
         outer * a2 + lucas.g * inner * a2,
     )
     second = _equation(
@@ -163,16 +163,38 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
         raise ValueError("need m >= 1, q >= 1, r >= 0")
     if r >= m:
         raise ValueError("need r < m")
-    return _decompose_mod_gm(lucas, m, q, r)
-
-
-def _decompose_mod_gm(lucas: Family, m: int, q: int, r: int, candidate: Poly | None = None) -> IdentityReport:
     seq = sequence(lucas)
-    l = seq.term
+    e, i, sign = _correction(m, q, r)
+    correction = seq.g_power(e) * seq.term(i) * sign
+    return _decomposition("dic2-decompose", lucas.name, (m, q, r), seq.term(m * q + r), seq.term(m), correction)
+
+
+def _correction(m: int, q: int, r: int) -> tuple[int, int, int]:
+    """(e, i, sign) of decompose_mod_gm's correction sign * g^e * L[i]."""
     t = (q + 1) // 2
     e, i = ((t - 1) * m + r, m - r) if q % 2 else (m * t, r)
-    correction = seq.g_power(e) * l(i) * (-1) ** (e + t)
-    return _decomposition("dic2-decompose", lucas.name, (m, q, r), l(m * q + r), l(m), correction, candidate)
+    return e, i, (-1) ** (e + t)
+
+
+def _remultiplies(divisor: list[tuple[int, int]], witness: Poly, power: Poly, low: Poly,
+                  sign: int, target: Poly) -> bool:
+    """Whether divisor * witness + sign * power * low equals target, summed
+    into one coefficient list with no intermediate Poly.  divisor is given
+    as its nonzero (index, coefficient) terms, at least one."""
+    w, p, l = witness.coeffs, power.coeffs, low.coeffs
+    out = [0] * max(len(w) + divisor[-1][0], len(p) + len(l) - 1)
+    for i, a in enumerate(w):
+        if a:
+            for j, b in divisor:
+                out[i + j] += a * b
+    for i, a in enumerate(p):
+        if a:
+            a *= sign
+            for j, b in enumerate(l):
+                out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return out == list(target.coeffs)
 
 
 def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
@@ -282,8 +304,9 @@ def _sweep_addition_cross(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
 
 def _sweep_discriminant(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
+    discriminant = fib.discriminant()
     for m, n in product(range(k + 1), repeat=2):
-        yield from check_discriminant_laws(fib, lucas, m, n)
+        yield from _discriminant_laws(fib, lucas, m, n, discriminant)
 
 
 def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
@@ -297,25 +320,45 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     Along the row the witnesses follow the family's own recurrence,
     T[q, r] = d T[q, r-1] + g T[q, r-2].
 
-    Per m the sweep holds three pairs at any index: the seeds of rows q-2
-    and q-1, and L[m(q-1)], L[m(q-1)+1] taken from the reports of row q-1.
+    In sweep order the targets L[mq+r] of one m are L[m], L[m+1], ...,
+    L[m(k+1)-1], so the sweep walks them by the recurrence too, and asks
+    the shared cache for no term past L[k].  Each candidate witness is
+    re-multiplied, with the correction added, in one coefficient list.  A
+    candidate that misses the target, or a zero L[m], goes to exact
+    division, so every report is the one decompose_mod_gm gives.
+
+    Per m the sweep holds five pairs at any index: the seeds of the last
+    two rows, the row's last two witnesses, the first two targets of the
+    last row (the next row's heads) and the last two targets.
     """
     seq = sequence(lucas)
     alpha = lucas.alpha()
     d, g = lucas.d.coeffs, lucas.g.coeffs
     for m in range(1, k + 1):
+        divisor = seq.term(m)
+        terms = [(j, b) for j, b in enumerate(divisor.coeffs) if b]
         swing = seq.g_power(m) * (-1) ** m
         heads = (seq.term(0), seq.term(1))[:m]  # the row of m = 1 has r = 0 only
         older = newer = (ZERO, ZERO)
+        before, target = seq.term(m - 1), divisor  # L[mq+r-1], L[mq+r]
         for q in range(1, k + 1):
             pair = tuple(head * alpha - old * swing for head, old in zip(heads, older))
             older, newer = newer, pair
             for r in range(m):
                 if r > 1:
                     pair = pair[1], _step(d, g, pair[1].coeffs, pair[0].coeffs)
-                report = _decompose_mod_gm(lucas, m, q, r, pair[min(r, 1)])  # pair[1] is T[q, r] for r >= 1
+                if q > 1 or r:
+                    before, target = target, _step(d, g, target.coeffs, before.coeffs)
+                witness = pair[min(r, 1)]  # pair[1] is T[q, r] for r >= 1
+                e, i, sign = _correction(m, q, r)
+                power, low = seq.g_power(e), seq.term(i)
+                if terms and _remultiplies(terms, witness, power, low, sign, target):
+                    report = IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
+                else:
+                    report = _decomposition("dic2-decompose", lucas.name, (m, q, r),
+                                            target, divisor, power * low * sign)
                 if r < 2:
-                    heads = (*heads[1:], report.lhs)
+                    heads = (*heads[1:], target)
                 yield report
 
 

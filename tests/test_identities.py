@@ -3,8 +3,8 @@
 Each identity gets at least one example whose both sides were expanded by
 hand (or whose witness was computed by independent long division) before
 being frozen here, plus sweep coverage through iter_reports.  Witness-style
-reports must re-multiply exactly: rhs is rebuilt from the witness, never
-copied from lhs.
+reports must re-multiply exactly: rhs is rebuilt from the witness, or in
+the dic2-decompose sweep is the target the witness re-multiplied to.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from gfpoly.identities import (
     neighbor_gcd,
     odd_divisor_divides,
 )
-from gfpoly.polyring import ONE, Poly, poly_gcd_z
+from gfpoly.polyring import ONE, ZERO, Poly, poly_gcd_z
 
 FIB = builtin_family("fibonacci")
 LUC = builtin_family("lucas")
@@ -362,11 +362,49 @@ class TestDecomposeSweep:
             assert report == decompose_mod_gm(bent, *report.params), report.params
 
     @pytest.mark.parametrize("m, q, r", [(1, 1, 0), (3, 2, 1), (4, 5, 0), (5, 3, 4)])
-    def test_wrong_candidate_falls_back_to_division(self, m, q, r):
+    def test_wrong_candidate_falls_back_to_division(self, m, q, r, monkeypatch):
+        report = decompose_mod_gm(LUC, m, q, r)
+        seq = sequence(LUC)
+        e, i, sign = identities._correction(m, q, r)
+        divisor = [(j, b) for j, b in enumerate(seq.term(m).coeffs) if b]
+        rest = seq.g_power(e), seq.term(i), sign, report.lhs
+        assert identities._remultiplies(divisor, report.witness, *rest)
         for candidate in (ONE, Poly([0, 1])):
-            got = identities._decompose_mod_gm(LUC, m, q, r, candidate)
-            assert got == decompose_mod_gm(LUC, m, q, r)
-            assert got.passed and got.witness != candidate
+            assert not identities._remultiplies(divisor, candidate, *rest)
+        monkeypatch.setattr(identities, "_remultiplies", lambda *args: False)
+        assert report in iter_reports("dic2-decompose", FIB, LUC, max(m, q))
+
+    @pytest.mark.parametrize("divisor, witness, power, low", [
+        (Poly([3]), ZERO, Poly([1]), Poly([0, 1])),  # zero witness
+        (Poly([0, 1]), Poly([0, 1]), Poly([1]), ZERO),  # zero correction
+        (Poly([0, 1]), Poly([0, 1]), Poly([-1]), Poly([0, 0, 1])),  # the sum cancels to zero
+        (Poly([2]), Poly([-5]), Poly([-2]), Poly([7])),  # constants
+        (Poly([0, 3, 0, 1]), Poly([2, 0, 4, 0, 1]), Poly([0, 0, 4]), Poly([0, 1, 0, 1])),  # parity-sparse
+        (Poly([1, 2]), Poly([2, 0, 0, 0, 0, 0, 1]), Poly([0, 0, 0, 0, 0, 0, 0, 0, 8]), Poly([-1, 2])),  # correction longer
+        (Poly([1, -2, 3]), Poly([4, 5, -6, 7]), Poly([1, 1, 1, 1]), Poly([2, -3, 5, -7, 11])),  # dense
+    ])
+    def test_remultiplies_agrees_with_poly_arithmetic(self, divisor, witness, power, low):
+        terms = [(j, b) for j, b in enumerate(divisor.coeffs) if b]
+        for sign in (1, -1):
+            rhs = divisor * witness + power * low * sign
+            assert identities._remultiplies(terms, witness, power, low, sign, rhs)
+            # Off in the constant, one term longer, one term shorter.
+            for other in (rhs + ONE, rhs + Poly([0] * len(rhs.coeffs) + [1]), Poly(rhs.coeffs[:-1])):
+                assert other == rhs or not identities._remultiplies(terms, witness, power, low, sign, other)
+
+    def test_sweep_asks_the_shared_lucas_cache_for_no_term_past_k(self, monkeypatch):
+        # The targets L[mq+r] reach L[k*k + k - 1]; the sweep walks them itself.
+        asked = []
+        term = families.SequenceCache.term
+        monkeypatch.setattr(families.SequenceCache, "term", lambda cache, n: asked.append((cache, n)) or term(cache, n))
+        for fib_name, lucas_name in PAIRS:
+            fib, lucas = builtin_pair(fib_name, lucas_name)
+            clear_sequences()
+            reports = list(iter_reports("dic2-decompose", fib, lucas, 14))
+            assert max(report.params[0] * report.params[1] + report.params[2] for report in reports) == 209
+            seq = sequence(lucas)
+            assert max(n for cache, n in asked if cache is seq) <= 14, fib_name
+            asked.clear()
 
 
 class TestNeighborGcd:
