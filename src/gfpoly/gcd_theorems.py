@@ -120,8 +120,6 @@ def closed_gcd(fa: Family, fb: Family, m: int, n: int) -> tuple[Poly, GcdCase] |
 
 def oracle_gcd(family_a: Family, family_b: Family, m: int, n: int) -> Poly:
     """Brute force: build both terms and take their Z[x] gcd."""
-    if m < 0 or n < 0:
-        raise ValueError("term indices must be nonnegative")
     return poly_gcd_z(sequence(family_a).term(m), sequence(family_b).term(n))
 
 

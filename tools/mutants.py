@@ -45,8 +45,6 @@ FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 
 # (module, source line without its comment, edit) of mutants that no test can kill.
 EQUIVALENT = {
-    # term(-1) raises the same ValueError one call later.
-    ("gcd_theorems", "if m < 0 or n < 0:", "Or -> And"),
     # No k has k*k + k - 1 = MAX_TERM_INDEX, and k*k + k - 2 or + 1 cross
     # 10,000 between the same k = 99 and k = 100.
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "Gt -> GtE"),
