@@ -222,10 +222,10 @@ def equivalent_family(family: Family) -> Family:
 RETAINED = 256
 
 
-def _step(d: tuple[int, ...], g: tuple[int, ...], t1: tuple[int, ...], t0: tuple[int, ...]) -> Poly:
+def step(d: tuple[int, ...], g: tuple[int, ...], t1: tuple[int, ...], t0: tuple[int, ...]) -> Poly:
     """d * t1 + g * t0 on ascending coefficient tuples, built as one Poly.
 
-    It steps SequenceCache's terms and the dic2-decompose row witnesses.
+    It steps SequenceCache's terms and the dic2-decompose witnesses and targets.
 
     Zero coefficients of d and g are skipped, and a coefficient of +-1 adds
     or subtracts a term's row without multiplying.  The first row to land
@@ -267,14 +267,11 @@ class SequenceCache:
         self._d, self._g = d.coeffs, g.coeffs
         self._prefix = [p0, p1]
         self._tail = (1, p0, p1)
-        self._powers = None
 
     def g_power(self, e: int) -> Poly:
         """The e-th power of g: term e of the recurrence P[e] = g * P[e-1],
         P[0] = 1, whose cache every recurrence over the same g shares."""
-        if self._powers is None:  # not in __init__: the powers have powers of their own
-            self._powers = _shared(self._g, ZERO.coeffs, ONE.coeffs, self._g)
-        return self._powers.term(e)
+        return _shared(self._g, ZERO.coeffs, ONE.coeffs, self._g).term(e)
 
     def term(self, n: int) -> Poly:
         if n < 0:
@@ -286,7 +283,7 @@ class SequenceCache:
         if k > n:  # then the prefix is full
             k, t0, t1 = len(prefix) - 1, prefix[-2], prefix[-1]
         while k < n:
-            k, t0, t1 = k + 1, t1, _step(self._d, self._g, t1.coeffs, t0.coeffs)
+            k, t0, t1 = k + 1, t1, step(self._d, self._g, t1.coeffs, t0.coeffs)
             if k <= RETAINED:
                 prefix.append(t1)
         self._tail = (k, t0, t1)

@@ -145,7 +145,8 @@ def iter_table(table: int, fib: Family, lucas: Family, max_index: int) -> Iterat
             yield GcdReport(m, n, closed, oracles[n, m], closed == oracles[n, m], case)
         else:
             report = compare(fa, fb, m, n, closed, case)
-            oracles[m, n] = report.oracle
+            if fa is fb:
+                oracles[m, n] = report.oracle
             yield report
 
 

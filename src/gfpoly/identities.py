@@ -3,14 +3,10 @@
 Every check returns IdentityReport records carrying the compared values, a
 verdict, and (for the divisibility decompositions) a quotient witness that
 re-multiplies to the original term.  Witnesses come from exact division,
-except in the dic2-decompose sweep, which seeds each row by the Lucas
-addition law from the witnesses two rows back, walks the rest of the row
-by the family's recurrence, walks its targets by the recurrence too, and
-divides only when a candidate does not re-multiply.  Its re-multiply adds
-the correction into the same coefficient list and reports the target as
-rhs once they agree.  Families named F below are Fibonacci type, L are Lucas
-type; pair checks take an equivalent (F, L) pair sharing one recurrence
-(d, g) and use alpha = 2 / p0 of the Lucas side.
+except in the dic2-decompose sweep (see _sweep_dic2_decompose).  Families
+named F below are Fibonacci type, L are Lucas type; pair checks take an
+equivalent (F, L) pair sharing one recurrence (d, g) and use alpha = 2 / p0
+of the Lucas side.
 
 Checked shapes, with all indices restricted as noted:
 
@@ -34,8 +30,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator, NamedTuple
 
-from .families import Family, Kind, _step, require_kind, require_pair, require_positive, sequence
-from .polyring import ONE, ZERO, Poly, exact_div, poly_gcd_z
+from .families import Family, Kind, require_kind, require_pair, require_positive, sequence, step
+from .polyring import ONE, ZERO, Poly, add_product, exact_div, poly_gcd_z
 
 
 class IdentityReport(NamedTuple):
@@ -108,7 +104,7 @@ def check_addition_cross(fib: Family, lucas: Family, m: int, n: int) -> Identity
     seq = sequence(fib)
     f, l = seq.term, sequence(lucas).term
     alpha = lucas.alpha()
-    lhs = seq.g_power(m) * f(n - m) * (2 * (-1) ** m)
+    lhs = seq.g_power(m) * f(n - m) * ((-1) ** m * 2)
     rhs = (f(n) * l(m) - f(m) * l(n)) * alpha
     return _equation("addition-cross", label, (m, n), lhs, rhs)
 
@@ -183,15 +179,8 @@ def _remultiplies(divisor: list[tuple[int, int]], witness: Poly, power: Poly, lo
     as its nonzero (index, coefficient) terms, at least one."""
     w, p, l = witness.coeffs, power.coeffs, low.coeffs
     out = [0] * max(len(w) + divisor[-1][0], len(p) + len(l) - 1)
-    for i, a in enumerate(w):
-        if a:
-            for j, b in divisor:
-                out[i + j] += a * b
-    for i, a in enumerate(p):
-        if a:
-            a *= sign
-            for j, b in enumerate(l):
-                out[i + j] += a * b
+    add_product(out, w, divisor)
+    add_product(out, p, [(j, sign * b) for j, b in enumerate(l) if b])
     while out and not out[-1]:
         out.pop()
     return out == list(target.coeffs)
@@ -322,10 +311,11 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
     In sweep order the targets L[mq+r] of one m are L[m], L[m+1], ...,
     L[m(k+1)-1], so the sweep walks them by the recurrence too, and asks
-    the shared cache for no term past L[k].  Each candidate witness is
-    re-multiplied, with the correction added, in one coefficient list.  A
-    candidate that misses the target, or a zero L[m], goes to exact
-    division, so every report is the one decompose_mod_gm gives.
+    the shared cache for no term past L[k] while candidates hit.  Each
+    candidate witness is re-multiplied, with the correction added, in one
+    coefficient list.  A candidate that misses the target, or a zero L[m],
+    is reported by decompose_mod_gm itself, so every report is the one it
+    gives.
 
     Per m the sweep holds five pairs at any index: the seeds of the last
     two rows, the row's last two witnesses, the first two targets of the
@@ -346,17 +336,15 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
             older, newer = newer, pair
             for r in range(m):
                 if r > 1:
-                    pair = pair[1], _step(d, g, pair[1].coeffs, pair[0].coeffs)
+                    pair = pair[1], step(d, g, pair[1].coeffs, pair[0].coeffs)
                 if q > 1 or r:
-                    before, target = target, _step(d, g, target.coeffs, before.coeffs)
+                    before, target = target, step(d, g, target.coeffs, before.coeffs)
                 witness = pair[min(r, 1)]  # pair[1] is T[q, r] for r >= 1
                 e, i, sign = _correction(m, q, r)
-                power, low = seq.g_power(e), seq.term(i)
-                if terms and _remultiplies(terms, witness, power, low, sign, target):
+                if terms and _remultiplies(terms, witness, seq.g_power(e), seq.term(i), sign, target):
                     report = IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
                 else:
-                    report = _decomposition("dic2-decompose", lucas.name, (m, q, r),
-                                            target, divisor, power * low * sign)
+                    report = decompose_mod_gm(lucas, m, q, r)
                 if r < 2:
                     heads = (*heads[1:], target)
                 yield report
@@ -384,7 +372,7 @@ def _sweep_odd_divisor(fib: Family, lucas: Family, k: int) -> Iterator[IdentityR
 
 def _sweep_neighbor_gcd(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
     for family in (fib, lucas):
-        for m in range(1, k + 1):
+        for m in range(1, k):
             for n in (m + 1, m + 2):
                 if n <= k:
                     yield neighbor_gcd(family, m, n)

@@ -96,12 +96,7 @@ class Poly:
         if self.is_zero or other.is_zero:
             return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in terms:
-                out[i + j] += a * b
+        add_product(out, self.coeffs, [(j, b) for j, b in enumerate(other.coeffs) if b])
         return Poly(out)
 
     __rmul__ = __mul__
@@ -180,6 +175,15 @@ _DECIMAL_RE = re.compile(r"-?[0-9]+")
 ZERO = Poly()
 ONE = Poly([1])
 X = Poly([0, 1])
+
+
+def add_product(out: list[int], a: tuple[int, ...], terms: list[tuple[int, int]]) -> None:
+    """Add a * b into the ascending coefficient list out, which must be long
+    enough; b is given as its nonzero (index, coefficient) terms."""
+    for i, c in enumerate(a):
+        if c:
+            for j, b in terms:
+                out[i + j] += c * b
 
 
 def exact_div(num: Poly, den: Poly) -> Poly | None:

@@ -42,7 +42,7 @@ from gfpoly.identities import (
     neighbor_gcd,
     odd_divisor_divides,
 )
-from gfpoly.polyring import ONE, ZERO, Poly, poly_gcd_z
+from gfpoly.polyring import ONE, X, ZERO, Poly, poly_gcd_z
 
 FIB = builtin_family("fibonacci")
 LUC = builtin_family("lucas")
@@ -74,8 +74,10 @@ class TestConvolution:
             check_convolution(LUC, 1, 1)
 
     def test_negative_index(self):
-        with pytest.raises(ValueError):
-            check_convolution(FIB, -1, 2)
+        # Either index alone is refused by the check, not by the term cache.
+        for m, n in [(-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="^indices must be nonnegative"):
+                check_convolution(FIB, m, n)
 
 
 class TestAdditionLaws:
@@ -100,10 +102,11 @@ class TestAdditionLaws:
         assert report.lhs == Poly([-2])
 
     def test_order_enforced(self):
-        with pytest.raises(ValueError):
-            check_addition_laws(FIB, LUC, 3, 2)
-        with pytest.raises(ValueError):
-            check_addition_cross(FIB, LUC, 3, 2)
+        for m, n in [(3, 2), (-1, 2)]:
+            with pytest.raises(ValueError, match="^need 0 <= m <= n"):
+                check_addition_laws(FIB, LUC, m, n)
+            with pytest.raises(ValueError, match="^need 0 <= m <= n"):
+                check_addition_cross(FIB, LUC, m, n)
 
     def test_mismatched_pair(self):
         with pytest.raises(NotEquivalentError):
@@ -126,7 +129,7 @@ class TestDiscriminantLaws:
 
     def test_negative_index(self):
         for m, n in [(-1, 0), (0, -1)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^indices must be nonnegative"):
                 check_discriminant_laws(FIB, LUC, m, n)
 
 
@@ -148,7 +151,7 @@ class TestLucasAddition:
 
     def test_order_enforced(self):
         for m, n in [(-1, 2), (3, 2)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^need 0 <= m <= n"):
                 check_lucas_addition(LUC, m, n)
 
 
@@ -182,12 +185,11 @@ class TestDecomposeModGm:
                 assert report.rhs == report.lhs == l(m * q + r)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            decompose_mod_gm(LUC, 2, 1, 2)   # r >= m
-        with pytest.raises(ValueError):
-            decompose_mod_gm(LUC, 0, 1, 0)
-        with pytest.raises(ValueError):
-            decompose_mod_gm(LUC, 2, 0, 1)
+        with pytest.raises(ValueError, match="^need r < m"):
+            decompose_mod_gm(LUC, 2, 1, 2)
+        for m, q, r in [(0, 1, 0), (2, 0, 1), (2, 1, -1)]:
+            with pytest.raises(ValueError, match="^need m >= 1, q >= 1, r >= 0"):
+                decompose_mod_gm(LUC, m, q, r)
         with pytest.raises(ValueError):
             decompose_mod_gm(FIB, 2, 1, 1)
 
@@ -213,9 +215,9 @@ class TestDecomposePow2:
                 assert report.witness is not None
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need n >= 2"):
             decompose_pow2(LUC, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need r >= 1"):
             decompose_pow2(LUC, 2, 0)
         with pytest.raises(ValueError):
             decompose_pow2(FIB, 2, 1)
@@ -244,6 +246,13 @@ class TestDividesIff:
         assert report.passed
         assert report.witness == Poly([1, 2])
 
+    def test_monic_or_constant_non_unit_divisor_counts(self):
+        # gcd(d, g) != 1 breaks the theorem: F[2] divides F[3] though 2 does
+        # not divide 3, and F[2] is x (monic) or 2 (constant), not a unit.
+        for d, g in [(X, X), (Poly([2]), Poly([2]))]:
+            report = divides_iff(Family("shared-factor", Kind.FIBONACCI, d, g, ZERO, ONE), 2, 3)
+            assert report.witness is not None and not report.passed, d
+
     def test_full_grid_fibonacci(self):
         for m in range(1, 13):
             for n in range(1, 13):
@@ -260,8 +269,9 @@ class TestDividesIff:
                 assert report.passed and report.witness is None, (m, n)
 
     def test_positive_indices_required(self):
-        with pytest.raises(ValueError):
-            divides_iff(FIB, 0, 3)
+        for m, n in [(0, 3), (3, 0)]:
+            with pytest.raises(ValueError, match="^indices must be positive"):
+                divides_iff(FIB, m, n)
 
 
 class TestOddDivisor:
@@ -285,11 +295,10 @@ class TestOddDivisor:
                         assert odd_divisor_divides(lucas, m, q).passed, (lucas_name, m, q)
 
     def test_bad_divisors(self):
-        with pytest.raises(ValueError):
-            odd_divisor_divides(LUC, 6, 2)   # even q
-        with pytest.raises(ValueError):
-            odd_divisor_divides(LUC, 6, 5)   # not a divisor
-        with pytest.raises(ValueError):
+        for q in (2, 5, 0, -3):  # even, not a divisor, zero, negative
+            with pytest.raises(ValueError, match="^q must be an odd divisor of m"):
+                odd_divisor_divides(LUC, 6, q)
+        with pytest.raises(ValueError, match="^m must be positive"):
             odd_divisor_divides(LUC, 0, 1)
         with pytest.raises(ValueError):
             odd_divisor_divides(FIB, 6, 3)
@@ -435,12 +444,12 @@ class TestNeighborGcd:
                         assert neighbor_gcd(family, m, n).passed, (family.name, m, n)
 
     def test_distance_enforced(self):
-        with pytest.raises(ValueError):
-            neighbor_gcd(FIB, 2, 5)
-        with pytest.raises(ValueError):
-            neighbor_gcd(FIB, 3, 3)
-        with pytest.raises(ValueError):
-            neighbor_gcd(FIB, 0, 1)
+        for m, n in [(2, 5), (5, 2), (3, 3)]:
+            with pytest.raises(ValueError, match="^indices must differ by 1 or 2"):
+                neighbor_gcd(FIB, m, n)
+        for m, n in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="^indices must be positive"):
+                neighbor_gcd(FIB, m, n)
 
 
 class TestMixedShift:
@@ -458,13 +467,16 @@ class TestMixedShift:
         assert part3.passed
 
     def test_part2_example(self):
-        reports = mixed_shift_gcd(FIB, LUC, 5, 2)
-        part2 = reports[1]
-        assert part2.identity_id == "mixed-shift-2"
-        l = sequence(LUC).term
-        f = sequence(FIB).term
-        assert part2.lhs == poly_gcd_z(f(4), l(2))
-        assert part2.passed
+        # L[n] = F[n+1] is no Lucas-type family, so gcd(F[m+n+1], L[n]) can
+        # differ from part 2's gcd(F[m-n+1], L[n]): x^2 + 1 against 1 here.
+        shifted = Family("shifted", Kind.LUCAS, X, ONE, ONE, X)
+        for lucas, m, n in [(LUC, 5, 2), (shifted, 3, 2)]:
+            part2 = mixed_shift_gcd(FIB, lucas, m, n)[1]
+            assert part2.identity_id == "mixed-shift-2"
+            l = sequence(lucas).term
+            f = sequence(FIB).term
+            assert part2.lhs == poly_gcd_z(f(m - n + 1), l(n))
+            assert part2.passed
 
     def test_sweep(self):
         for fib_name, lucas_name in PAIRS:
@@ -475,8 +487,9 @@ class TestMixedShift:
                         assert report.passed, (fib_name, m, n, report.identity_id)
 
     def test_positive_indices(self):
-        with pytest.raises(ValueError):
-            mixed_shift_gcd(FIB, LUC, 0, 1)
+        for m, n in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="^indices must be positive"):
+                mixed_shift_gcd(FIB, LUC, m, n)
 
 
 class TestIterReports:

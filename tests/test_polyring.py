@@ -294,6 +294,12 @@ class TestSparseOperands:
     def test_mul_matches_reference(self, p, q):
         assert p * q == reference_mul(p, q)
 
+    @given(sparse_polys, sparse_polys, sparse_polys)
+    def test_add_product_adds_into_what_is_there(self, p, q, r):
+        out = list(r.coeffs) + [0] * (len(p.coeffs) + len(q.coeffs))
+        polyring.add_product(out, p.coeffs, [(j, b) for j, b in enumerate(q.coeffs) if b])
+        assert Poly(out) == r + reference_mul(p, q)
+
     @settings(max_examples=300)
     @given(sparse_polys, nonzero_sparse_polys)
     @example(Poly([0, 0, 1]), Poly([2, 0, 0, 0, 1]))  # degree too low: None
