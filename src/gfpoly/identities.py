@@ -110,12 +110,6 @@ def check_addition_cross(fib: Family, lucas: Family, m: int, n: int) -> Identity
 
 
 def check_discriminant_laws(fib: Family, lucas: Family, m: int, n: int) -> tuple[IdentityReport, IdentityReport]:
-    return _discriminant_laws(fib, lucas, m, n, fib.discriminant())
-
-
-def _discriminant_laws(fib: Family, lucas: Family, m: int, n: int,
-                       discriminant: Poly) -> tuple[IdentityReport, IdentityReport]:
-    """check_discriminant_laws with d^2 + 4g given, so a sweep computes it once."""
     label = require_pair(fib, lucas, "check_discriminant_laws")
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -125,7 +119,7 @@ def _discriminant_laws(fib: Family, lucas: Family, m: int, n: int,
     outer, inner = l(m + 1) * l(n + 1), l(m) * l(n)
     first = _equation(
         "discriminant-fib", label, (m, n),
-        discriminant * f(m + n + 1),
+        fib.discriminant() * f(m + n + 1),
         outer * a2 + lucas.g * inner * a2,
     )
     second = _equation(
@@ -293,9 +287,8 @@ def _sweep_addition_cross(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
 
 def _sweep_discriminant(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
-    discriminant = fib.discriminant()
     for m, n in product(range(k + 1), repeat=2):
-        yield from _discriminant_laws(fib, lucas, m, n, discriminant)
+        yield from check_discriminant_laws(fib, lucas, m, n)
 
 
 def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
@@ -304,22 +297,20 @@ def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
 
 def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
-    """The addition law with n = m(q-1) + r seeds r = 0 and 1 of row q:
-    T[q, r] = alpha L[m(q-1)+r] - (-g)^m T[q-2, r], with T[-1] = T[0] = 0.
-    Along the row the witnesses follow the family's own recurrence,
-    T[q, r] = d T[q, r-1] + g T[q, r-2].
+    """Walks n = mq + r for each m with two pairs: the witnesses
+    (T[q, r], T[q, r+1]), one ahead, and the targets (L[n-1], L[n]).
 
-    In sweep order the targets L[mq+r] of one m are L[m], L[m+1], ...,
-    L[m(k+1)-1], so the sweep walks them by the recurrence too, and asks
-    the shared cache for no term past L[k] while candidates hit.  Each
-    candidate witness is re-multiplied, with the correction added, in one
-    coefficient list.  A candidate that misses the target, or a zero L[m],
-    is reported by decompose_mod_gm itself, so every report is the one it
-    gives.
+    Along r the target, the correction and so the witness follow the
+    family's recurrence, and since L[-n] = L[n] / (-g)^n a row walked past
+    r = m - 1 goes on into the next.  At r = 0 of each odd row q the Lucas
+    addition law adds kick * (L[0], L[1]) to the witnesses, where kick =
+    alpha * sign * g^e and sign * g^e * L[0] is row q - 1's correction at
+    r = 0.  Row 0's witnesses are 0.
 
-    Per m the sweep holds five pairs at any index: the seeds of the last
-    two rows, the row's last two witnesses, the first two targets of the
-    last row (the next row's heads) and the last two targets.
+    The targets of one m are L[m..m(k+1)-1], so the shared cache is asked
+    for no term past L[k].  Each candidate is re-multiplied with its
+    correction in one coefficient list.  A miss is reported by
+    decompose_mod_gm itself, and a zero L[m] raises its ZeroDivisionError.
     """
     seq = sequence(lucas)
     alpha = lucas.alpha()
@@ -327,27 +318,21 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     for m in range(1, k + 1):
         divisor = seq.term(m)
         terms = [(j, b) for j, b in enumerate(divisor.coeffs) if b]
-        swing = seq.g_power(m) * (-1) ** m
-        heads = (seq.term(0), seq.term(1))[:m]  # the row of m = 1 has r = 0 only
-        older = newer = (ZERO, ZERO)
-        before, target = seq.term(m - 1), divisor  # L[mq+r-1], L[mq+r]
-        for q in range(1, k + 1):
-            pair = tuple(head * alpha - old * swing for head, old in zip(heads, older))
-            older, newer = newer, pair
-            for r in range(m):
-                if r > 1:
-                    pair = pair[1], step(d, g, pair[1].coeffs, pair[0].coeffs)
-                if q > 1 or r:
-                    before, target = target, step(d, g, target.coeffs, before.coeffs)
-                witness = pair[min(r, 1)]  # pair[1] is T[q, r] for r >= 1
-                e, i, sign = _correction(m, q, r)
-                if terms and _remultiplies(terms, witness, seq.g_power(e), seq.term(i), sign, target):
-                    report = IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
-                else:
-                    report = decompose_mod_gm(lucas, m, q, r)
-                if r < 2:
-                    heads = (*heads[1:], target)
-                yield report
+        witness, ahead = ZERO, ZERO  # T[q, r], T[q, r+1]
+        before, target = seq.term(m - 1), divisor  # L[n-1], L[n]
+        for q, r in product(range(1, k + 1), range(m)):
+            if q > 1 or r:
+                witness, ahead = ahead, step(d, g, ahead.coeffs, witness.coeffs)
+                before, target = target, step(d, g, target.coeffs, before.coeffs)
+            if q % 2 and not r:
+                e, _, sign = _correction(m, q - 1, 0)
+                kick = seq.g_power(e) * (alpha * sign)
+                witness, ahead = witness + kick * seq.term(0), ahead + kick * seq.term(1)
+            e, i, sign = _correction(m, q, r)
+            if terms and _remultiplies(terms, witness, seq.g_power(e), seq.term(i), sign, target):
+                yield IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
+            else:
+                yield decompose_mod_gm(lucas, m, q, r)
 
 
 def _sweep_dic2_pow2(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:

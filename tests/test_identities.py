@@ -327,9 +327,9 @@ def counting_divisions():
 
 
 class TestDecomposeSweep:
-    """The sweep walks each row from the addition law and the recurrence;
-    decompose_mod_gm divides.  Every report must be the same, field for
-    field."""
+    """The sweep walks one witness pair and one target pair by the
+    recurrence, with an addition-law kick at each odd row; decompose_mod_gm
+    divides.  Every report must be the same, field for field."""
 
     def test_builtin_pairs_match_division_without_dividing(self):
         # k = 17 reaches L[305], past the retained term prefix.
@@ -354,7 +354,7 @@ class TestDecomposeSweep:
             with mock.patch.object(families, "RETAINED", retained):
                 with patch:
                     reports = list(iter_reports("dic2-decompose", fib, lucas, k))
-                # The row walk holds the same state at every index, so no point divides.
+                # Both pairs are walked, not looked up, so no point divides at any prefix.
                 assert calls == []
                 for report in reports:
                     assert report.passed, report.params
@@ -369,6 +369,17 @@ class TestDecomposeSweep:
         assert any(report.witness is None for report in reports)
         for report in reports:
             assert report == decompose_mod_gm(bent, *report.params), report.params
+
+    def test_zero_divisor_raises_what_decompose_mod_gm_raises(self):
+        # d = 2, g = -2 and L[0] = L[1] = 1 give L[2] = 0.
+        zero = Family("zero", Kind.LUCAS, Poly([2]), Poly([-2]), Poly([1]), Poly([1]))
+        assert sequence(zero).term(2).is_zero
+        with pytest.raises(ZeroDivisionError) as direct:
+            decompose_mod_gm(zero, 2, 1, 0)
+        reports = []
+        with pytest.raises(ZeroDivisionError, match=f"^{direct.value}$"):
+            reports.extend(iter_reports("dic2-decompose", FIB, zero, 3))
+        assert [report.params for report in reports] == [(1, 1, 0), (1, 2, 0), (1, 3, 0)]
 
     @pytest.mark.parametrize("m, q, r", [(1, 1, 0), (3, 2, 1), (4, 5, 0), (5, 3, 4)])
     def test_wrong_candidate_falls_back_to_division(self, m, q, r, monkeypatch):

@@ -16,9 +16,10 @@ unmutated run of the same tests; a timeout counts as a kill.
 Every site is tried unless --sample N picks N of them, with the fixed
 seed SEED, so a sample is the same on every run.  Sites listed in
 EQUIVALENT are skipped: no test can tell those mutants from the
-original.  The exit status is 1 when a mutant survives all of tests/,
-else 0.  This is not part of the test suite: a mutant takes from 1 s to
-a minute.
+original.  A key of MODULE that names none of its sites stops the tool
+with a message before it lists or runs anything.  The exit status is 1
+when a mutant survives all of tests/, else 0.  This is not part of the
+test suite: a mutant takes from 1 s to a minute.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ EQUIVALENT = {
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "Gt -> GtE", 0),
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "Sub -> Add", 0),
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "1 -> 2", 0),
+    # RETAINED sets how many terms a cache keeps, not what any term is.
+    ("families", "RETAINED = 256", "256 -> 257", 0),
+    # step's store-in-place path only skips adding into zeros: two more
+    # zeros at the top, which Poly trims, or a row added into a stretch
+    # still all zeros give the same sum.
+    ("families", "out = [0] * (max(len(d) + len(t1), len(g) + len(t0)) - 1)", "Sub -> Add", 0),
+    ("families", "unwritten = 0", "0 -> 1", 0),
+    ("families", "if i >= unwritten:", "GtE -> Gt", 0),
     # 4 and 5 have the same bit length and the same quotient by 2^2, so
     # the dic2-pow2 sweep visits the same (n, r) at every k.
     ("identities", "cap = max(4, 2 * k)", "4 -> 5", 0),
@@ -63,6 +72,11 @@ EQUIVALENT = {
     ("identities", "out = [0] * max(len(w) + divisor[-1][0], len(p) + len(l) - 1)", "Sub -> Add", 0),
     # m + 2 in place of m + 1 adds at most q = m + 1, which never divides m.
     ("identities", "for q in range(1, m + 1, 2):", "1 -> 2", 1),
+    # Row q - 1 of the dic2-decompose kick is even, and an even row's e and
+    # sign do not depend on r; only the discarded L index does.
+    ("identities", "e, _, sign = _correction(m, q - 1, 0)", "0 -> 1", 0),
+    # sign is 1 or -1, and floor division by it is multiplication by it.
+    ("identities", "kick = seq.g_power(e) * (alpha * sign)", "Mult -> FloorDiv", 1),
 }
 
 
@@ -136,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     found = [(i, node.lineno, edit) for i, (node, _, edit) in enumerate(sites(ast.parse(source)))]
     keys = [(args.module, lines[lineno - 1], edit) for _, lineno, edit in found]
     keys = [(*key, keys[:i].count(key)) for i, key in enumerate(keys)]
+    stale = [key for key in EQUIVALENT if key[0] == args.module and key not in keys]
+    if stale:
+        raise SystemExit(f"EQUIVALENT keys that name no site of {args.module}: {stale}")
     if args.list:
         for i, lineno, edit in found:
             print(f"{i:4} line {lineno:4}  {edit:16} {keys[i][3]}  {lines[lineno - 1]}")
