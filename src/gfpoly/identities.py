@@ -304,8 +304,9 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     family's recurrence, and since L[-n] = L[n] / (-g)^n a row walked past
     r = m - 1 goes on into the next.  At r = 0 of each odd row q the Lucas
     addition law adds kick * (L[0], L[1]) to the witnesses, where kick =
-    alpha * sign * g^e and sign * g^e * L[0] is row q - 1's correction at
-    r = 0.  Row 0's witnesses are 0.
+    -alpha * sign * g^e and sign * g^e * L[m] is row q's correction: row
+    q - 1's at r = 0 has the same e and the opposite sign.  Row 0's
+    witnesses are 0.
 
     The targets of one m are L[m..m(k+1)-1], so the shared cache is asked
     for no term past L[k].  Each candidate is re-multiplied with its
@@ -324,12 +325,12 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
             if q > 1 or r:
                 witness, ahead = ahead, step(d, g, ahead.coeffs, witness.coeffs)
                 before, target = target, step(d, g, target.coeffs, before.coeffs)
-            if q % 2 and not r:
-                e, _, sign = _correction(m, q - 1, 0)
-                kick = seq.g_power(e) * (alpha * sign)
-                witness, ahead = witness + kick * seq.term(0), ahead + kick * seq.term(1)
             e, i, sign = _correction(m, q, r)
-            if terms and _remultiplies(terms, witness, seq.g_power(e), seq.term(i), sign, target):
+            power = seq.g_power(e)
+            if q % 2 and not r:
+                kick = power * -(alpha * sign)
+                witness, ahead = witness + kick * seq.term(0), ahead + kick * seq.term(1)
+            if terms and _remultiplies(terms, witness, power, seq.term(i), sign, target):
                 yield IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
             else:
                 yield decompose_mod_gm(lucas, m, q, r)

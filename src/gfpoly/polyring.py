@@ -93,8 +93,6 @@ class Poly:
             return Poly(c * other for c in self.coeffs)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         add_product(out, self.coeffs, [(j, b) for j, b in enumerate(other.coeffs) if b])
         return Poly(out)
@@ -199,11 +197,7 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
-        return ZERO
     dn, dd = len(num.coeffs) - 1, len(den.coeffs) - 1
-    if dn < dd:
-        return None
     lead = den.coeffs[-1]
     terms = [(i, dc) for i, dc in enumerate(den.coeffs) if dc]
     rem = list(num.coeffs)

@@ -418,6 +418,24 @@ def _linear_product(*roots: tuple[int, int]) -> Poly:
     return out
 
 
+class TestBalancedDigits:
+    """GCDHEU's candidate is read from balanced base-xi digits, each in
+    (-xi/2, xi/2].  Its proving divisions would hide a skewed range, so the
+    range is checked here directly."""
+
+    # xi = 2 has no negative digit, so negative n needs xi >= 3; GCDHEU's xi is at least 4.
+    @given(st.integers(-10**40, 10**40), st.integers(3, 1000))
+    @example(5, 10)  # a digit of exactly xi/2 stays positive
+    @example(-5, 10)
+    @example(4, 10)  # a digit above xi/3
+    @example(3, 7)  # odd xi: the largest positive digit
+    @example(4, 7)
+    def test_digits_recompose_n_inside_half_of_xi(self, n, xi):
+        digits = polyring._balanced_digits(n, xi)
+        assert sum(d * xi ** i for i, d in enumerate(digits)) == n
+        assert all(-xi < 2 * d <= xi for d in digits)
+
+
 class TestGcdRetries:
     """GCDHEU makes xi larger after each rejected candidate until one is proved."""
 

@@ -56,6 +56,8 @@ EQUIVALENT = {
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "Gt -> GtE", 0),
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "Sub -> Add", 0),
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "1 -> 2", 0),
+    # A spec of names draws no random pair, so its seed is unused.
+    ("cli", 'for fib, lucas in _verify_pairs(",".join(TABLE_ROWS), 0):', "0 -> 1", 0),
     # RETAINED sets how many terms a cache keeps, not what any term is.
     ("families", "RETAINED = 256", "256 -> 257", 0),
     # step's store-in-place path only skips adding into zeros: two more
@@ -72,11 +74,27 @@ EQUIVALENT = {
     ("identities", "out = [0] * max(len(w) + divisor[-1][0], len(p) + len(l) - 1)", "Sub -> Add", 0),
     # m + 2 in place of m + 1 adds at most q = m + 1, which never divides m.
     ("identities", "for q in range(1, m + 1, 2):", "1 -> 2", 1),
-    # Row q - 1 of the dic2-decompose kick is even, and an even row's e and
-    # sign do not depend on r; only the discarded L index does.
-    ("identities", "e, _, sign = _correction(m, q - 1, 0)", "0 -> 1", 0),
     # sign is 1 or -1, and floor division by it is multiplication by it.
-    ("identities", "kick = seq.g_power(e) * (alpha * sign)", "Mult -> FloorDiv", 1),
+    ("identities", "kick = power * -(alpha * sign)", "Mult -> FloorDiv", 1),
+    # An equal-length sum with its operands swapped, or a sign test that
+    # counts 0 on the other side: the leads and coefficients tested are
+    # never 0, and normalized returns the zero polynomial before its test.
+    ("polyring", "if len(a) < len(b):", "Lt -> LtE", 0),
+    ("polyring", "if p.coeffs[-1] < 0:", "Lt -> LtE", 0),
+    ("polyring", "if p.coeffs[-1] < 0:", "0 -> 1", 0),
+    ("polyring", "if self.is_zero or self.leading > 0:", "Gt -> GtE", 0),
+    ("polyring", 'parts.append(("-" if c < 0 else "+", body))', "Lt -> LtE", 0),
+    ("polyring", 'parts.append(("-" if c < 0 else "+", body))', "0 -> 1", 0),
+    # Longer buffers: the extra zeros at the top are trimmed by Poly.
+    ("polyring", "out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)", "Sub -> Add", 0),
+    ("polyring", "quo = [0] * (dn - dd + 1)", "Sub -> Add", 0),
+    ("polyring", "quo = [0] * (dn - dd + 1)", "1 -> 2", 0),
+    # The growth factor sets only how fast xi grows: every answer is still
+    # proved, and the xi of TestGcdRetries keep their bit lengths.
+    ("polyring", "xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011", "73794 -> 73795", 0),
+    # poly_gcd_z's constant-operand branch is a speed path: GCDHEU returns
+    # ONE for a constant primitive part too, at its first xi.
+    ("polyring", "if len(p.coeffs) == 1 or len(q.coeffs) == 1:", "Or -> And", 0),
 }
 
 
