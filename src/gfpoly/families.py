@@ -51,8 +51,8 @@ class Family(NamedTuple):
         """All rule violations, empty when the family is well formed.
 
         Shared rules: d and g nonzero, gcd(d, g) = 1.  Fibonacci type fixes
-        p0 = 0 and p1 = 1.  Lucas type needs a constant p0 with |p0| in
-        {1, 2}, the coupling 2 * p1 = p0 * d, and gcd(p0, p1) = gcd(p0, d) = 1.
+        p0 = 0 and p1 = 1.  Lucas type needs a constant p0 with |p0| in {1, 2},
+        the coupling 2 * p1 = p0 * d, and gcd(p0, d) = 1, so gcd(p0, p1) = 1.
         """
         problems = []
         if self.d.is_zero:
@@ -72,8 +72,6 @@ class Family(NamedTuple):
             return problems
         if self.p1 * 2 != self.p0 * self.d:
             problems.append("2*p1 must equal p0*d")
-        if poly_gcd_z(self.p0, self.p1) != ONE:
-            problems.append("gcd(p0, p1) != 1")
         if poly_gcd_z(self.p0, self.d) != ONE:
             problems.append("gcd(p0, d) != 1")
         return problems

@@ -297,8 +297,8 @@ def _sweep_lucas_addition(fib: Family, lucas: Family, k: int) -> Iterator[Identi
 
 
 def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:
-    """Walks n = mq + r for each m with two pairs: the witnesses
-    (T[q, r], T[q, r+1]), one ahead, and the targets (L[n-1], L[n]).
+    """Walks n = mq + r for each m, stepping the witnesses (T[q, r],
+    T[q, r+1]) before each check and the targets (L[n-1], L[n]) after it.
 
     Along r the target, the correction and so the witness follow the
     family's recurrence, and since L[-n] = L[n] / (-g)^n a row walked past
@@ -306,11 +306,11 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     addition law adds kick * (L[0], L[1]) to the witnesses, where kick =
     -alpha * sign * g^e and sign * g^e * L[m] is row q's correction: row
     q - 1's at r = 0 has the same e and the opposite sign.  Row 0's
-    witnesses are 0.
+    witnesses are 0, and step to 0 at (1, 0).
 
-    The targets of one m are L[m..m(k+1)-1], so the shared cache is asked
-    for no term past L[k].  Each candidate is re-multiplied with its
-    correction in one coefficient list.  A miss is reported by
+    The targets are stepped to L[m(k+1)], one past the last, so the shared
+    cache is asked for no term past L[k].  Each candidate is re-multiplied
+    with its correction in one coefficient list.  A miss is reported by
     decompose_mod_gm itself, and a zero L[m] raises its ZeroDivisionError.
     """
     seq = sequence(lucas)
@@ -322,9 +322,7 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
         witness, ahead = ZERO, ZERO  # T[q, r], T[q, r+1]
         before, target = seq.term(m - 1), divisor  # L[n-1], L[n]
         for q, r in product(range(1, k + 1), range(m)):
-            if q > 1 or r:
-                witness, ahead = ahead, step(d, g, ahead.coeffs, witness.coeffs)
-                before, target = target, step(d, g, target.coeffs, before.coeffs)
+            witness, ahead = ahead, step(d, g, ahead.coeffs, witness.coeffs)
             e, i, sign = _correction(m, q, r)
             power = seq.g_power(e)
             if q % 2 and not r:
@@ -334,6 +332,7 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
                 yield IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
             else:
                 yield decompose_mod_gm(lucas, m, q, r)
+            before, target = target, step(d, g, target.coeffs, before.coeffs)
 
 
 def _sweep_dic2_pow2(fib: Family, lucas: Family, k: int) -> Iterator[IdentityReport]:

@@ -112,7 +112,7 @@ class Poly:
 
     def content(self) -> int:
         """Nonnegative gcd of all coefficients; 0 for the zero polynomial."""
-        return math.gcd(*self.coeffs) if self.coeffs else 0
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> Poly:
         """self divided by its content, sign-fixed to a positive leading coefficient.
@@ -125,7 +125,7 @@ class Poly:
 
     def normalized(self) -> Poly:
         """Sign-canonical form: leading coefficient made positive. Content is kept."""
-        if self.is_zero or self.leading > 0:
+        if self.leading > 0:
             return self
         return -self
 
@@ -218,7 +218,7 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
 
 
 def _balanced_digits(n: int, xi: int) -> list[int]:
-    # Ascending digits of n in base xi, each in (-xi/2, xi/2].
+    # Ascending digits of n in base xi >= 3, each in (-xi/2, xi/2]; xi = 2 loops forever on n < 0.
     half = xi // 2
     digits = []
     while n:

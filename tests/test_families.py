@@ -35,7 +35,7 @@ from gfpoly.families import (
     sequence,
 )
 from gfpoly.gcd_theorems import closed_gcd, compare
-from gfpoly.polyring import ONE, X, ZERO, Poly, poly_gcd_z
+from gfpoly.polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
 
 FIB_BUILTINS = ["fibonacci", "pell", "fermat", "chebyshev2", "jacobsthal",
                 "morgan-voyce-b", "paper-2x1-fib"]
@@ -114,8 +114,25 @@ class TestPublicNamespace:
 class TestValidation:
     def test_pell_lucas_fails_coprimality(self):
         problems = builtin_family("pell-lucas").violations()
-        assert any("gcd(p0, p1)" in p for p in problems)
-        assert any("gcd(p0, d)" in p for p in problems)
+        assert "gcd(p0, d) != 1" in problems
+        assert not any("gcd(p0, p1)" in p for p in problems)
+
+    def test_one_rule_is_gcd_p0_p1_under_the_coupling(self):
+        # With |p0| = 1 both gcds are 1; with |p0| = 2 the coupling makes
+        # p1 = +-d.  So the one rule gcd(p0, d) = 1 refuses exactly the
+        # coupled families whose gcd(p0, p1) is not 1.
+        seen = set()
+        for p0 in (1, -1, 2, -2):
+            for d in (ONE, Poly([2]), X, Poly([0, 2]), Poly([1, 2]), Poly([2, 4]),
+                      Poly([6, 0, 4]), Poly([3, 0, 1])):
+                p1 = exact_div(d * p0, Poly([2]))
+                if p1 is None:
+                    continue
+                family = Family("coupled", Kind.LUCAS, d, ONE, Poly([p0]), p1)
+                refused = "gcd(p0, d) != 1" in family.violations()
+                assert refused == (poly_gcd_z(family.p0, p1) != ONE), (p0, d)
+                seen.add(refused)
+        assert seen == {True, False}
 
     def test_zero_d(self):
         f = Family("bad", Kind.FIBONACCI, ZERO, ONE, ZERO, ONE)

@@ -6,12 +6,15 @@ MODULE is a module of src/gfpoly, such as cli.  A mutant makes one AST edit
 at one site: it flips a comparison (< and <=, > and >=, == and !=, is and
 is not, in and not in), swaps + and -, swaps * and //, swaps `and` and
 `or`, adds 1 to an int literal, or drops a `not`.  The mutated module is
-written with ast.unparse into a temporary copy of src/, tests/ and
-pyproject.toml, and tests/test_MODULE.py runs with -x.  A mutant that
+written with ast.unparse into a temporary copy of src/, tests/, tools/
+and pyproject.toml, and tests/test_MODULE.py runs with -x.  A mutant that
 survives runs again against all of tests/.  The unmutated copy must pass
 both first, and those two runs are timed.  One child runs at a time,
 under a 2 GiB address-space limit and a timeout of SLOWDOWN times the
-unmutated run of the same tests; a timeout counts as a kill.
+unmutated run of the same tests; a timeout counts as a kill.  Each
+child runs in a session of its own, and its whole process group is
+killed when it ends, so no gfp command that a test started outlives it.
+SIGTERM ends the tool the same way and removes the temporary copy.
 
 Every site is tried unless --sample N picks N of them, with the fixed
 seed SEED, so a sample is the same on every run.  Sites listed in
@@ -30,6 +33,7 @@ import os
 import random
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -78,11 +82,12 @@ EQUIVALENT = {
     ("identities", "kick = power * -(alpha * sign)", "Mult -> FloorDiv", 1),
     # An equal-length sum with its operands swapped, or a sign test that
     # counts 0 on the other side: the leads and coefficients tested are
-    # never 0, and normalized returns the zero polynomial before its test.
+    # never 0, and normalized's only lead of 0 is the zero polynomial's,
+    # whose negation is itself.
     ("polyring", "if len(a) < len(b):", "Lt -> LtE", 0),
     ("polyring", "if p.coeffs[-1] < 0:", "Lt -> LtE", 0),
     ("polyring", "if p.coeffs[-1] < 0:", "0 -> 1", 0),
-    ("polyring", "if self.is_zero or self.leading > 0:", "Gt -> GtE", 0),
+    ("polyring", "if self.leading > 0:", "Gt -> GtE", 0),
     ("polyring", 'parts.append(("-" if c < 0 else "+", body))', "Lt -> LtE", 0),
     ("polyring", 'parts.append(("-" if c < 0 else "+", body))', "0 -> 1", 0),
     # Longer buffers: the extra zeros at the top are trimmed by Poly.
@@ -145,19 +150,32 @@ def limit_address_space() -> None:
 
 
 def killed(copy: Path, tests: str, timeout: float | None) -> bool:
-    """Whether pytest -x over tests fails (or times out) in the copy."""
+    """Whether pytest -x over tests fails (or times out) in the copy.
+
+    Whatever the outcome, every process left in pytest's group is killed."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", tests],
+        cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=limit_address_space, start_new_session=True)
     try:
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", tests],
-            cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            preexec_fn=limit_address_space, timeout=timeout)
+        return child.wait(timeout) != 0
     except subprocess.TimeoutExpired:
         return True
-    return run.returncode != 0
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait()
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through killed and the temporary copy
 
 
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module")
     parser.add_argument("--sample", type=int, help="try N sites, not all")
@@ -181,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     counts = {"killed": 0, "equivalent": 0, "killed by tests/": 0, "survived": 0}
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         timeouts = {}
