@@ -2,101 +2,16 @@
 
 Exact integer-coefficient polynomial arithmetic, the family recurrences,
 closed-form gcd theorems with a brute-force oracle, and a catalog of
-checkable identities.
+checkable identities.  Each module's __all__ names its public API, and the
+package re-exports exactly those names.
 """
 
-from .polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
-from .families import (
-    BUILTIN,
-    PARTNER,
-    Family,
-    Kind,
-    NoValidEquivalentError,
-    NotEquivalentError,
-    SequenceCache,
-    UnknownFamilyError,
-    builtin_family,
-    clear_sequences,
-    equivalent_family,
-    random_pair,
-    sequence,
-)
-from .gcd_theorems import (
-    GcdCase,
-    GcdReport,
-    closed_gcd,
-    compare,
-    gcd_fib_closed,
-    gcd_lucas_closed,
-    gcd_mixed_closed,
-    gcd_with_initial,
-    min_even_index,
-    oracle_gcd,
-    two_adic_valuation,
-)
-from .identities import (
-    IDENTITY_GROUPS,
-    IdentityReport,
-    check_addition_cross,
-    check_addition_laws,
-    check_convolution,
-    check_discriminant_laws,
-    check_lucas_addition,
-    decompose_mod_gm,
-    decompose_pow2,
-    divides_iff,
-    iter_reports,
-    mixed_shift_gcd,
-    neighbor_gcd,
-    odd_divisor_divides,
-)
+from . import families, gcd_theorems, identities, polyring
+from .polyring import *
+from .families import *
+from .gcd_theorems import *
+from .identities import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN",
-    "Family",
-    "GcdCase",
-    "GcdReport",
-    "IDENTITY_GROUPS",
-    "IdentityReport",
-    "Kind",
-    "NoValidEquivalentError",
-    "NotEquivalentError",
-    "ONE",
-    "PARTNER",
-    "Poly",
-    "SequenceCache",
-    "UnknownFamilyError",
-    "X",
-    "ZERO",
-    "builtin_family",
-    "check_addition_cross",
-    "check_addition_laws",
-    "check_convolution",
-    "check_discriminant_laws",
-    "check_lucas_addition",
-    "clear_sequences",
-    "closed_gcd",
-    "compare",
-    "decompose_mod_gm",
-    "decompose_pow2",
-    "divides_iff",
-    "equivalent_family",
-    "exact_div",
-    "gcd_fib_closed",
-    "gcd_lucas_closed",
-    "gcd_mixed_closed",
-    "gcd_with_initial",
-    "iter_reports",
-    "min_even_index",
-    "mixed_shift_gcd",
-    "neighbor_gcd",
-    "odd_divisor_divides",
-    "oracle_gcd",
-    "poly_gcd_z",
-    "random_pair",
-    "sequence",
-    "two_adic_valuation",
-    "__version__",
-]
+__all__ = polyring.__all__ + families.__all__ + gcd_theorems.__all__ + identities.__all__ + ["__version__"]

@@ -19,7 +19,23 @@ import random
 from operator import add, neg, sub
 from typing import NamedTuple
 
-from .polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
+from .polyring import ONE, X, ZERO, Poly, poly_gcd_z
+
+__all__ = [
+    "BUILTIN",
+    "PARTNER",
+    "Family",
+    "Kind",
+    "NoValidEquivalentError",
+    "NotEquivalentError",
+    "SequenceCache",
+    "UnknownFamilyError",
+    "builtin_family",
+    "clear_sequences",
+    "equivalent_family",
+    "random_pair",
+    "sequence",
+]
 
 
 class Kind(enum.Enum):
@@ -191,9 +207,10 @@ def equivalent_family(family: Family) -> Family:
     """The partner of the opposite kind over the same (d, g).
 
     Lucas to Fibonacci always exists (start 0, 1).  Fibonacci to Lucas
-    prefers p0 = 2 with p1 = d, which makes alpha = 1; when that candidate
-    fails validation (even content in d) it falls back to p0 = 1 with
-    p1 = d / 2.  Built-in inputs resolve to their registered partner.
+    takes p0 = 2 with p1 = d, which makes alpha = 1, when the content of d
+    is odd, and p0 = 1 with p1 = d / 2 when it is even.  Either way
+    gcd(p0, d) = 1, so the partner is invalid only when d or g breaks a
+    shared rule.  Built-in inputs resolve to their registered partner.
     """
     if family.name in PARTNER:
         partner = BUILTIN[PARTNER[family.name]]
@@ -201,16 +218,16 @@ def equivalent_family(family: Family) -> Family:
             return partner
     if family.kind is Kind.LUCAS:
         return _fib(f"{family.name}.fib", family.d, family.g)
-    for p0 in (2, 1):
-        p1 = family.d if p0 == 2 else exact_div(family.d, Poly([2]))
-        if p1 is None:
-            continue
-        candidate = _lucas(f"{family.name}.lucas", family.d, family.g, p0, p1)
-        if candidate.is_valid:
-            return candidate
-    raise NoValidEquivalentError(
-        f"no Lucas-type initial values fit d={family.d}, g={family.g}"
-    )
+    if family.d.content() % 2:
+        p0, p1 = 2, family.d
+    else:
+        p0, p1 = 1, Poly(c // 2 for c in family.d.coeffs)
+    partner = _lucas(f"{family.name}.lucas", family.d, family.g, p0, p1)
+    if not partner.is_valid:
+        raise NoValidEquivalentError(
+            f"no Lucas-type initial values fit d={family.d}, g={family.g}"
+        )
+    return partner
 
 
 # Terms 0..RETAINED stay cached; past it a cache keeps two terms.  It must
@@ -257,8 +274,7 @@ class SequenceCache:
     while k <= RETAINED, appends each term to the prefix, which serves
     callers that revisit small indices in any order.  A request behind the
     tail restarts it from the end of the prefix.  Memory is the prefix plus
-    two terms at any index, so every index the CLI accepts, up to its
-    MAX_TERM_INDEX, finishes.
+    two terms at any index.
     """
 
     def __init__(self, d: Poly, g: Poly, p0: Poly, p1: Poly):

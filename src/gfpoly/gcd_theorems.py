@@ -24,6 +24,20 @@ from typing import Iterator, NamedTuple
 from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
 from .polyring import Poly, poly_gcd_z
 
+__all__ = [
+    "GcdCase",
+    "GcdReport",
+    "closed_gcd",
+    "compare",
+    "gcd_fib_closed",
+    "gcd_lucas_closed",
+    "gcd_mixed_closed",
+    "gcd_with_initial",
+    "min_even_index",
+    "oracle_gcd",
+    "two_adic_valuation",
+]
+
 
 class GcdCase(enum.Enum):
     FIB_STRONG = "FibStrong"

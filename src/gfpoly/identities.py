@@ -33,6 +33,23 @@ from typing import Callable, Iterator, NamedTuple
 from .families import Family, Kind, require_kind, require_pair, require_positive, sequence, step
 from .polyring import ONE, ZERO, Poly, add_product, exact_div, poly_gcd_z
 
+__all__ = [
+    "IDENTITY_GROUPS",
+    "IdentityReport",
+    "check_addition_cross",
+    "check_addition_laws",
+    "check_convolution",
+    "check_discriminant_laws",
+    "check_lucas_addition",
+    "decompose_mod_gm",
+    "decompose_pow2",
+    "divides_iff",
+    "iter_reports",
+    "mixed_shift_gcd",
+    "neighbor_gcd",
+    "odd_divisor_divides",
+]
+
 
 class IdentityReport(NamedTuple):
     identity_id: str

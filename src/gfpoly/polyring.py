@@ -17,6 +17,15 @@ import math
 import re
 from typing import Iterable
 
+__all__ = [
+    "ONE",
+    "X",
+    "ZERO",
+    "Poly",
+    "exact_div",
+    "poly_gcd_z",
+]
+
 
 class Poly:
     """An element of Z[x].

@@ -110,6 +110,15 @@ class TestPublicNamespace:
         for name in gfpoly.__all__:
             assert hasattr(gfpoly, name), name
 
+    def test_all_is_the_module_lists(self):
+        modules = (gfpoly.polyring, gfpoly.families, gfpoly.gcd_theorems, gfpoly.identities)
+        lists = [module.__all__ for module in modules]
+        assert gfpoly.__all__ == [name for names in lists for name in names] + ["__version__"]
+        assert sum(map(len, lists)) == len(set().union(*lists))
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(gfpoly, name) is getattr(module, name), (module.__name__, name)
+
 
 class TestValidation:
     def test_pell_lucas_fails_coprimality(self):

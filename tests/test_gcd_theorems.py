@@ -8,7 +8,6 @@ branch outputs; grid sweeps then compare branch selection wholesale.
 
 from __future__ import annotations
 
-import doctest
 import math
 import random
 from itertools import product
@@ -368,8 +367,3 @@ class TestStrongDivisibilityCharacterization:
             for n in range(1, 10):
                 if math.gcd(m, n) == 1:
                     assert oracle_gcd(FIB, FIB, m, n) == ONE, (m, n)
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(gcd_theorems_module)
-    assert failures == 0

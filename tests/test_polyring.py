@@ -570,11 +570,3 @@ class TestTextFormat:
     def test_big_coefficients_survive_json(self):
         p = Poly([10 ** 40, -(3 ** 90)])
         assert Poly.from_json(p.to_json()) == p
-
-
-def test_module_doctests():
-    import doctest
-
-    import gfpoly.polyring
-
-    assert doctest.testmod(gfpoly.polyring).failed == 0

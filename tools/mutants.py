@@ -6,10 +6,11 @@ MODULE is a module of src/gfpoly, such as cli.  A mutant makes one AST edit
 at one site: it flips a comparison (< and <=, > and >=, == and !=, is and
 is not, in and not in), swaps + and -, swaps * and //, swaps `and` and
 `or`, adds 1 to an int literal, or drops a `not`.  The mutated module is
-written with ast.unparse into a temporary copy of src/, tests/, tools/
-and pyproject.toml, and tests/test_MODULE.py runs with -x.  A mutant that
-survives runs again against all of tests/.  The unmutated copy must pass
-both first, and those two runs are timed.  One child runs at a time,
+written with ast.unparse into a temporary copy of src/, tests/, tools/,
+pyproject.toml and README.md, whose examples tests/test_docs.py runs,
+and tests/test_MODULE.py runs with -x.  A mutant that survives runs again
+against all of tests/.  The unmutated copy must pass both first, and
+those two runs are timed.  One child runs at a time,
 under a 2 GiB address-space limit and a timeout of SLOWDOWN times the
 unmutated run of the same tests; a timeout counts as a kill.  Each
 child runs in a session of its own, and its whole process group is
@@ -201,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         copy = Path(tmp)
         for part in ("src", "tests", "tools"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / part, copy)
         timeouts = {}
         for tests in (own_tests, "tests"):
             start = time.perf_counter()
