@@ -9,9 +9,11 @@ Lucas-type family the answer depends on the 2-adic valuations of the
 indices: it is L[gcd(m, n)] when they agree and gcd(L[gcd(m, n)], p0),
 which is 1 or 2, when they differ.  For a mixed pair over the same (d, g)
 the Lucas term wins exactly when the Fibonacci-side index carries strictly
-more factors of two.  closed_gcd picks the theorem that applies to two
-families, if any.  Every closed form is checked against oracle_gcd, a
-brute-force Z[x] gcd of the actual terms.
+more factors of two.  That 'otherwise' value follows from the parity of
+d, g and p0 alone (see min_even_index), so no closed form takes a gcd.
+closed_gcd picks the theorem that applies to two families, if any.  Every
+closed form is checked against oracle_gcd, a brute-force Z[x] gcd of the
+actual terms.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import math
 from itertools import product
 from typing import Iterator, NamedTuple
 
+from . import polyring
 from .families import Family, Kind, require_kind, require_pair, require_positive, sequence
-from .polyring import Poly, poly_gcd_z
+from .polyring import ONE, Poly
 
 __all__ = [
     "GcdCase",
@@ -84,11 +87,16 @@ def gcd_fib_closed(family: Family, m: int, n: int) -> Poly:
     return sequence(family).term(math.gcd(m, n)).normalized()
 
 
-def gcd_with_initial(family: Family, d: int) -> Poly:
-    """gcd(L[d], p0): the 'otherwise' value, always the constant 1 or 2."""
+def gcd_with_initial(family: Family, n: int) -> Poly:
+    """gcd(L[n], p0), the 'otherwise' value: 2 when n is a multiple of the
+    period that min_even_index finds, else 1.
+
+    No term is built; under min_even_index's hypothesis the value is the gcd.
+    """
     require_kind(family, Kind.LUCAS, "gcd_with_initial")
-    require_positive(d)
-    return poly_gcd_z(sequence(family).term(d), family.p0)
+    require_positive(n)
+    k = min_even_index(family, n)
+    return Poly([2]) if k and n % k == 0 else ONE
 
 
 def gcd_lucas_closed(family: Family, m: int, n: int) -> tuple[Poly, GcdCase]:
@@ -133,8 +141,11 @@ def closed_gcd(fa: Family, fb: Family, m: int, n: int) -> tuple[Poly, GcdCase] |
 
 
 def oracle_gcd(family_a: Family, family_b: Family, m: int, n: int) -> Poly:
-    """Brute force: build both terms and take their Z[x] gcd."""
-    return poly_gcd_z(sequence(family_a).term(m), sequence(family_b).term(n))
+    """Brute force: build both terms and take their Z[x] gcd.
+
+    The only caller of poly_gcd_z here; no closed form shares it.
+    """
+    return polyring.poly_gcd_z(sequence(family_a).term(m), sequence(family_b).term(n))
 
 
 def compare(family_a: Family, family_b: Family, m: int, n: int,
@@ -165,17 +176,22 @@ def iter_table(table: int, fib: Family, lucas: Family, max_index: int) -> Iterat
 
 
 def min_even_index(family: Family, bound: int) -> int | None:
-    """Smallest m in 1..bound with gcd(L[m], p0) = 2, or None.
+    """Smallest n in 1..bound with gcd(L[n], p0) = 2, or None.
 
-    When it exists, gcd(L[n], p0) = 2 holds exactly for the multiples of the
-    returned index; that periodicity turns the 'otherwise' gcd branch into a
-    divisibility test on gcd(m, n).
+    The hypothesis is a constant p0 with |p0| in {1, 2} and 2 * p1 = p0 * d.
+    Then gcd(L[n], p0) = 2 exactly at the multiples of a period that the
+    parity of d, g and p0 fixes, with no term built (the README derives it):
+    1 when |p0| = 2 and content(d) is even, so that every term is even;
+    3 when |p0| = 2, content(d) is odd and d^2 - g has even coefficients;
+    none otherwise.  A Lucas-kind family outside the hypothesis gets the
+    same rule, whose answer then need not be its gcd.
     """
     require_kind(family, Kind.LUCAS, "min_even_index")
     if bound < 1:
         raise ValueError("bound must be positive")
-    two = Poly([2])
-    for m in range(1, bound + 1):
-        if gcd_with_initial(family, m) == two:
-            return m
-    return None
+    if abs(family.p0.leading) != 2:
+        return None
+    if family.d.content() % 2 == 0:
+        return 1
+    odd = any(c % 2 for c in (family.d * family.d - family.g).coeffs)
+    return None if odd or bound < 3 else 3

@@ -220,6 +220,8 @@ def divides_iff(fib: Family, m: int, n: int) -> IdentityReport:
     states the biconditional.  The only-if direction is vacuous when F[m]
     is zero or a unit (anything divides by those), which happens for
     degenerate recurrences and for families whose d is the constant 1.
+    It needs a polynomial sequence: the integer sequence of d = 1, g = -2
+    has F[4] = F[8] = -3, so (m, n) = (8, 4) fails, and truly so.
     """
     require_kind(fib, Kind.FIBONACCI, "divides_iff")
     require_positive(m, n)

@@ -227,7 +227,9 @@ def exact_div(num: Poly, den: Poly) -> Poly | None:
 
 
 def _balanced_digits(n: int, xi: int) -> list[int]:
-    # Ascending digits of n in base xi >= 3, each in (-xi/2, xi/2]; xi = 2 loops forever on n < 0.
+    # Ascending digits of n in base xi, each in (-xi/2, xi/2].
+    if xi < 3:
+        raise ValueError("balanced digits need a base of at least 3: base 2 has no negative digit")
     half = xi // 2
     digits = []
     while n:

@@ -15,6 +15,7 @@ from itertools import product
 import pytest
 
 import gfpoly.gcd_theorems as gcd_theorems_module
+from gfpoly import polyring
 from gfpoly.families import BUILTIN, VALID, Family, Kind, NotEquivalentError, builtin_family, random_pair, sequence
 from gfpoly.gcd_theorems import (
     GcdCase,
@@ -40,6 +41,23 @@ LUC = builtin_family("lucas")
 def _random_pairs() -> list[tuple[Family, Family]]:
     rng = random.Random(7)
     return [random_pair(rng, f"r{i}") for i in range(10)]
+
+
+def _coupled_lucas(name: str, d: Poly, g: Poly, p0: int) -> Family:
+    """The Lucas-kind family over (d, g) with constant p0 and 2 * p1 = p0 * d."""
+    return Family(name, Kind.LUCAS, d, g, Poly([p0]), Poly(c * p0 // 2 for c in d.coeffs))
+
+
+# Coupled families with |p0| = 2, each with its min_even_index.  The first
+# three have odd content(d) and d^2 - g with even coefficients, so period 3;
+# the last has even content(d) and every term even, like pell-lucas, which
+# makes it invalid.
+HAND_MADE_LUCAS = [
+    (_coupled_lucas("2x+1", Poly([1, 2]), ONE, 2), 3),
+    (_coupled_lucas("x+1", Poly([1, 1]), Poly([1, 0, 1]), 2), 3),
+    (_coupled_lucas("2x-1", Poly([-1, 2]), Poly([3, 2]), -2), 3),
+    (_coupled_lucas("4x", Poly([0, 4]), ONE, 2), 1),
+]
 
 
 class TestTwoAdicValuation:
@@ -136,6 +154,48 @@ class TestLucasGcd:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="lucas-type"):
             gcd_lucas_closed(FIB, 2, 3)
+
+    @pytest.mark.parametrize("family, period", HAND_MADE_LUCAS, ids=lambda v: getattr(v, "name", v))
+    def test_hand_made_p0_two_families_match_oracle(self, family, period):
+        assert family.is_valid is (period == 3)
+        assert min_even_index(family, 12) == period
+        fib = Family(f"{family.name}.fib", Kind.FIBONACCI, family.d, family.g, Poly(), ONE)
+        for m, n in product(range(1, 13), repeat=2):
+            got, _ = gcd_lucas_closed(family, m, n)
+            assert got == oracle_gcd(family, family, m, n), (m, n)
+            if family.is_valid:  # the mixed theorem needs the side conditions
+                got, _ = gcd_mixed_closed(fib, family, m, n)
+                assert got == oracle_gcd(fib, family, m, n), (m, n)
+
+    def test_otherwise_value_is_the_gcd_with_p0(self):
+        # The parity rule against the gcd it replaces, on every Lucas-kind
+        # built-in (pell-lucas among them), the hand-made families and 200
+        # random partners.
+        rng = random.Random(1)
+        families = [f for f in BUILTIN.values() if f.kind is Kind.LUCAS]
+        families += [family for family, _ in HAND_MADE_LUCAS]
+        families += [random_pair(rng, f"r{i}")[1] for i in range(200)]
+        twos = 0
+        for family in families:
+            t = sequence(family).term
+            for n in range(1, 31):
+                got = gcd_with_initial(family, n)
+                assert got == poly_gcd_z(t(n), family.p0), (family.name, n)
+                twos += got == Poly([2])
+        assert twos > 30
+
+    def test_otherwise_branches_build_no_term_and_take_no_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the 'otherwise' value needs no term and no gcd")
+
+        assert "poly_gcd_z" not in vars(gcd_theorems_module)
+        monkeypatch.setattr(gcd_theorems_module, "sequence", refuse)
+        monkeypatch.setattr(polyring, "poly_gcd_z", refuse)
+        assert gcd_lucas_closed(LUC, 3000, 4500) == (ONE, GcdCase.LUCAS_UNEQUAL_E2)
+        assert gcd_mixed_closed(FIB, LUC, 1, 2) == (ONE, GcdCase.MIXED_OTHERWISE)
+        paper = builtin_family("paper-2x1-lucas")
+        assert gcd_lucas_closed(paper, 6, 9) == (Poly([2]), GcdCase.LUCAS_UNEQUAL_E2)
+        assert min_even_index(paper, 10**6) == 3
 
 
 class TestMixedGcd:

@@ -273,6 +273,15 @@ class TestDividesIff:
             with pytest.raises(ValueError, match="^indices must be positive"):
                 divides_iff(FIB, m, n)
 
+    def test_only_if_half_needs_a_polynomial_sequence(self):
+        # d = 1, g = -2 is an integer sequence with F[4] = F[8] = -3, so F[8]
+        # divides F[4] though 8 does not divide 4: the report is a true failure.
+        fib = Family("int", Kind.FIBONACCI, ONE, Poly([-2]), ZERO, ONE)
+        assert sequence(fib).term(4) == sequence(fib).term(8) == Poly([-3])
+        report = divides_iff(fib, 8, 4)
+        assert report.passed is False
+        assert report.witness == ONE
+
 
 class TestOddDivisor:
     def test_frozen_example(self):

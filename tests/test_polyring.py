@@ -423,17 +423,25 @@ class TestBalancedDigits:
     (-xi/2, xi/2].  Its proving divisions would hide a skewed range, so the
     range is checked here directly."""
 
-    # xi = 2 has no negative digit, so negative n needs xi >= 3; GCDHEU's xi is at least 4.
+    # GCDHEU's xi is at least 4; base 2 is refused (test_base_two_is_refused).
     @given(st.integers(-10**40, 10**40), st.integers(3, 1000))
     @example(5, 10)  # a digit of exactly xi/2 stays positive
     @example(-5, 10)
     @example(4, 10)  # a digit above xi/3
     @example(3, 7)  # odd xi: the largest positive digit
     @example(4, 7)
+    @example(-5, 3)  # the smallest base allowed
     def test_digits_recompose_n_inside_half_of_xi(self, n, xi):
         digits = polyring._balanced_digits(n, xi)
         assert sum(d * xi ** i for i, d in enumerate(digits)) == n
         assert all(-xi < 2 * d <= xi for d in digits)
+
+    def test_base_two_is_refused(self):
+        # Digits 0 and 1 cannot write a negative n, so base 2 is refused
+        # before any digit is taken.
+        for n in (0, 5, -5):  # -5 last: unchecked, base 2 would loop on it forever
+            with pytest.raises(ValueError, match="base of at least 3"):
+                polyring._balanced_digits(n, 2)
 
 
 class TestGcdRetries:

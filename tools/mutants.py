@@ -63,6 +63,8 @@ EQUIVALENT = {
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "1 -> 2", 0),
     # A spec of names draws no random pair, so its seed is unused.
     ("cli", 'for fib, lucas in _verify_pairs(",".join(TABLE_ROWS), 0):', "0 -> 1", 0),
+    # d^2 + g and d^2 - g have the same parity, coefficient by coefficient.
+    ("gcd_theorems", "odd = any(c % 2 for c in (family.d * family.d - family.g).coeffs)", "Sub -> Add", 0),
     # RETAINED sets how many terms a cache keeps, not what any term is.
     ("families", "RETAINED = 256", "256 -> 257", 0),
     # step's store-in-place path only skips adding into zeros: two more
