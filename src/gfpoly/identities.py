@@ -200,17 +200,16 @@ def _remultiplies(divisor: list[tuple[int, int]], witness: Poly, power: Poly, lo
 def decompose_pow2(lucas: Family, n: int, r: int) -> IdentityReport:
     """L[(2^n) r] = L[r] T + p0 g^((2^(n-1)) r) with an exact witness T.
 
-    The constant factor on the g-power is p0, which equals 2 / alpha.
+    This is decompose_mod_gm at (m, q, r) = (r, 2^n, 0), relabelled: there
+    t = 2^(n-1) and e = r t are even for n >= 2, so the correction is
+    +g^e L[0].
     """
     require_kind(lucas, Kind.LUCAS, "decompose_pow2")
     if n < 2:
         raise ValueError("need n >= 2")
     if r < 1:
         raise ValueError("need r >= 1")
-    seq = sequence(lucas)
-    l = seq.term
-    correction = seq.g_power(2 ** (n - 1) * r) * lucas.p0.leading
-    return _decomposition("dic2-pow2", lucas.name, (n, r), l(2 ** n * r), l(r), correction)
+    return decompose_mod_gm(lucas, r, 2 ** n, 0)._replace(identity_id="dic2-pow2", params=(n, r))
 
 
 def divides_iff(fib: Family, m: int, n: int) -> IdentityReport:
@@ -327,10 +326,13 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     q - 1's at r = 0 has the same e and the opposite sign.  Row 0's
     witnesses are 0, and step to 0 at (1, 0).
 
-    The targets are stepped to L[m(k+1)], one past the last, so the shared
-    cache is asked for no term past L[k].  Each candidate is re-multiplied
-    with its correction in one coefficient list.  A miss is reported by
-    decompose_mod_gm itself, and a zero L[m] raises its ZeroDivisionError.
+    The targets are stepped to L[m(k+1)], one past the last.  Each
+    candidate is re-multiplied with its correction in one coefficient list.
+    A miss is reported by decompose_mod_gm itself, and a zero L[m] raises
+    its ZeroDivisionError.  The shared cache is asked for no term past L[k]
+    while every point passes.  A miss fetches L[mq+r] through it: past
+    RETAINED that walks the cache's tail there, restarting it from
+    L[RETAINED] when the tail is already further on.
     """
     seq = sequence(lucas)
     alpha = lucas.alpha()

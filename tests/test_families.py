@@ -37,6 +37,8 @@ from gfpoly.families import (
 from gfpoly.gcd_theorems import closed_gcd, compare
 from gfpoly.polyring import ONE, X, ZERO, Poly, exact_div, poly_gcd_z
 
+from explicit import explicit_term
+
 FIB_BUILTINS = ["fibonacci", "pell", "fermat", "chebyshev2", "jacobsthal",
                 "morgan-voyce-b", "paper-2x1-fib"]
 LUCAS_BUILTINS = ["lucas", "pell-lucas-prime", "fermat-lucas", "chebyshev1",
@@ -426,7 +428,8 @@ any_family = st.one_of(
 
 
 class TestRetainedPrefixAndTail:
-    """SequenceCache against reference_terms, across the end of the prefix."""
+    """SequenceCache against reference_terms and explicit_term, across the
+    end of the prefix."""
 
     @settings(max_examples=200, deadline=None)
     @given(any_family, st.integers(1, 8), st.lists(st.integers(0, 30), min_size=1, max_size=10))
@@ -437,15 +440,27 @@ class TestRetainedPrefixAndTail:
         with patched_retained(retained):
             cache = fresh_cache(family)
             for n in indices:
-                assert cache.term(n) == want[n], n
+                assert cache.term(n) == want[n] == explicit_term(family, n), n
 
     @pytest.mark.parametrize("name", list(BUILTIN))
     def test_builtins_out_of_order_across_the_prefix_end(self, name):
         family = builtin_family(name)
         want = reference_terms(family, 700)
+        # The explicit sums cost O(n^2) each, so they check the prefix end
+        # and the restarted tail only.
+        explicit = {n: explicit_term(family, n) for n in (5, 256, 258)}
         cache = fresh_cache(family)
         for n in (600, 300, 700, 5, 257, 256, 258):
-            assert cache.term(n) == want[n], n
+            got = cache.term(n)
+            assert got == want[n], n
+            assert got == explicit.get(n, got), n
+
+    @pytest.mark.parametrize("name", list(BUILTIN))
+    def test_shared_prefix_matches_explicit_sums(self, name):
+        family = builtin_family(name)
+        t = sequence(family).term
+        for n in range(41):
+            assert t(n) == explicit_term(family, n), n
 
     def test_prefix_stops_growing_at_retained(self):
         with patched_retained(10):
@@ -481,7 +496,8 @@ class TestRetainedPrefixAndTail:
 
 
 class TestGPower:
-    """SequenceCache.g_power against a repeated product, across the end of the prefix."""
+    """SequenceCache.g_power against a repeated product and against
+    Cassini's identity on explicit terms, across the end of the prefix."""
 
     FAMILIES = [*BUILTIN.values(), *(f for seed in range(4) for f in random_pair(random.Random(seed), "r"))]
 
@@ -492,9 +508,13 @@ class TestGPower:
                 want = [ONE]
                 while len(want) <= retained + 3:
                     want.append(want[-1] * family.g)
+                # Cassini: (-g)^e = F[e+1]^2 - F[e+2] F[e], F of start 0, 1.
+                f = Family("f", Kind.FIBONACCI, family.d, family.g, ZERO, ONE)
+                cassini = [explicit_term(f, e + 1) * explicit_term(f, e + 1)
+                           - explicit_term(f, e + 2) * explicit_term(f, e) for e in range(retained + 4)]
                 cache = fresh_cache(family)
                 for e in (retained + 3, retained, 0, retained + 1, 1, retained // 2, retained):
-                    assert cache.g_power(e) == want[e], (family.name, e)
+                    assert cache.g_power(e) == want[e] == cassini[e] * (-1) ** e, (family.name, e)
                     assert len(powers_of(family.g)._prefix) <= max(retained, 1) + 1
 
     def test_power_prefix_fills_to_retained_and_stops(self):

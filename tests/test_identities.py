@@ -10,6 +10,7 @@ the dic2-decompose sweep is the target the witness re-multiplied to.
 from __future__ import annotations
 
 import random
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -43,6 +44,8 @@ from gfpoly.identities import (
     odd_divisor_divides,
 )
 from gfpoly.polyring import ONE, X, ZERO, Poly, poly_gcd_z
+
+from explicit import explicit_term
 
 FIB = builtin_family("fibonacci")
 LUC = builtin_family("lucas")
@@ -194,7 +197,32 @@ class TestDecomposeModGm:
             decompose_mod_gm(FIB, 2, 1, 1)
 
 
+# Lucas-kind families for the dic2-pow2 relation: the valid built-ins, a few
+# random partners, two valid hand-made families with negative p0, and one
+# whose p0 is not a constant (outside the hypothesis; its correction takes
+# L[0] = p0 whole).
+POW2_FAMILIES = [
+    *(builtin_family(lucas_name) for _, lucas_name in PAIRS),
+    *(random_pair(random.Random(seed), f"r{seed}")[1] for seed in range(3)),
+    Family("minus-one", Kind.LUCAS, Poly([0, 2]), ONE, Poly([-1]), Poly([0, -1])),
+    Family("minus-two", Kind.LUCAS, X, ONE, Poly([-2]), Poly([0, -1])),
+    Family("p0-x-plus-2", Kind.LUCAS, X, ONE, Poly([2, 1]), X),
+]
+
+
 class TestDecomposePow2:
+    def test_hand_made_families_are_the_intended_ones(self):
+        *valid, outside = POW2_FAMILIES[-3:]
+        assert all(f.is_valid for f in valid)
+        assert [f.p0.leading for f in valid] == [-1, -2]
+        assert outside.p0.degree == 1
+
+    @pytest.mark.parametrize("lucas", POW2_FAMILIES, ids=lambda f: f.name)
+    def test_is_decompose_mod_gm_relabelled(self, lucas):
+        for n, r in product(range(2, 5), range(1, 4)):
+            relabelled = decompose_mod_gm(lucas, r, 2 ** n, 0)._replace(identity_id="dic2-pow2", params=(n, r))
+            assert decompose_pow2(lucas, n, r) == relabelled, (n, r)
+
     def test_frozen_lucas(self):
         report = decompose_pow2(LUC, 2, 1)
         assert report.lhs == Poly([2, 0, 4, 0, 1])
@@ -351,6 +379,9 @@ class TestDecomposeSweep:
             assert calls == [], fib_name
             for report in reports:
                 assert report == decompose_mod_gm(lucas, *report.params), (fib_name, report.params)
+            for report in random.Random(fib_name).sample(reports, 4):
+                m, q, r = report.params
+                assert report.lhs == explicit_term(lucas, m * q + r), (fib_name, report.params)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 999), k=st.integers(1, 8), retained=st.integers(0, 40))
@@ -368,6 +399,9 @@ class TestDecomposeSweep:
                 for report in reports:
                     assert report.passed, report.params
                     assert report == decompose_mod_gm(lucas, *report.params), report.params
+                for report in random.Random(seed).sample(reports, min(2, len(reports))):
+                    m, q, r = report.params
+                    assert report.lhs == explicit_term(lucas, m * q + r), report.params
         finally:
             clear_sequences()
 
