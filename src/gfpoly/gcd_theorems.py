@@ -89,13 +89,13 @@ def gcd_fib_closed(family: Family, m: int, n: int) -> Poly:
 
 def gcd_with_initial(family: Family, n: int) -> Poly:
     """gcd(L[n], p0), the 'otherwise' value: 2 when n is a multiple of the
-    period that min_even_index finds, else 1.
+    family's period (see min_even_index), else 1.
 
     No term is built; under min_even_index's hypothesis the value is the gcd.
     """
     require_kind(family, Kind.LUCAS, "gcd_with_initial")
     require_positive(n)
-    k = min_even_index(family, n)
+    k = min_even_index(family)
     return Poly([2]) if k and n % k == 0 else ONE
 
 
@@ -175,23 +175,21 @@ def iter_table(table: int, fib: Family, lucas: Family, max_index: int) -> Iterat
             yield report
 
 
-def min_even_index(family: Family, bound: int) -> int | None:
-    """Smallest n in 1..bound with gcd(L[n], p0) = 2, or None.
+def min_even_index(family: Family) -> int | None:
+    """The period of gcd(L[n], p0) = 2, or None: it holds exactly at the
+    period's multiples, so the period is the smallest such n >= 1.
 
     The hypothesis is a constant p0 with |p0| in {1, 2} and 2 * p1 = p0 * d.
-    Then gcd(L[n], p0) = 2 exactly at the multiples of a period that the
-    parity of d, g and p0 fixes, with no term built (the README derives it):
-    1 when |p0| = 2 and content(d) is even, so that every term is even;
-    3 when |p0| = 2, content(d) is odd and d^2 - g has even coefficients;
-    none otherwise.  A Lucas-kind family outside the hypothesis gets the
-    same rule, whose answer then need not be its gcd.
+    The parity of d, g and p0 then fixes the period, with no term built
+    (the README derives it): 1 when |p0| = 2 and content(d) is even, so
+    that every term is even; 3 when |p0| = 2, content(d) is odd and d^2 - g
+    has even coefficients; None otherwise.  A Lucas-kind family outside the
+    hypothesis gets the same rule, whose answer then need not be its gcd.
     """
     require_kind(family, Kind.LUCAS, "min_even_index")
-    if bound < 1:
-        raise ValueError("bound must be positive")
     if abs(family.p0.leading) != 2:
         return None
     if family.d.content() % 2 == 0:
         return 1
     odd = any(c % 2 for c in (family.d * family.d - family.g).coeffs)
-    return None if odd or bound < 3 else 3
+    return None if odd else 3

@@ -104,7 +104,7 @@ def test_criterion_3_mixed_grid_matches_oracle_and_orientation_is_essential():
 
 def test_criterion_4_content_two_family_characterization():
     family = builtin_family("paper-2x1-lucas")
-    assert min_even_index(family, 12) == 3
+    assert min_even_index(family) == 3
     seq = sequence(family).term
     checked = twos = 0
     for m in range(1, 19):

@@ -158,7 +158,7 @@ class TestLucasGcd:
     @pytest.mark.parametrize("family, period", HAND_MADE_LUCAS, ids=lambda v: getattr(v, "name", v))
     def test_hand_made_p0_two_families_match_oracle(self, family, period):
         assert family.is_valid is (period == 3)
-        assert min_even_index(family, 12) == period
+        assert min_even_index(family) == period
         fib = Family(f"{family.name}.fib", Kind.FIBONACCI, family.d, family.g, Poly(), ONE)
         for m, n in product(range(1, 13), repeat=2):
             got, _ = gcd_lucas_closed(family, m, n)
@@ -170,19 +170,27 @@ class TestLucasGcd:
     def test_otherwise_value_is_the_gcd_with_p0(self):
         # The parity rule against the gcd it replaces, on every Lucas-kind
         # built-in (pell-lucas among them), the hand-made families and 200
-        # random partners.
+        # random partners; the period is the first n where that gcd is 2.
         rng = random.Random(1)
         families = [f for f in BUILTIN.values() if f.kind is Kind.LUCAS]
         families += [family for family, _ in HAND_MADE_LUCAS]
         families += [random_pair(rng, f"r{i}")[1] for i in range(200)]
         twos = 0
+        periods = set()
         for family in families:
             t = sequence(family).term
+            even = []
             for n in range(1, 31):
                 got = gcd_with_initial(family, n)
                 assert got == poly_gcd_z(t(n), family.p0), (family.name, n)
-                twos += got == Poly([2])
+                if got == Poly([2]):
+                    even.append(n)
+            period = min_even_index(family)
+            assert period == min(even, default=None), family.name
+            periods.add(period)
+            twos += len(even)
         assert twos > 30
+        assert periods == {None, 1, 3}
 
     def test_otherwise_branches_build_no_term_and_take_no_gcd(self, monkeypatch):
         def refuse(*args):
@@ -195,7 +203,7 @@ class TestLucasGcd:
         assert gcd_mixed_closed(FIB, LUC, 1, 2) == (ONE, GcdCase.MIXED_OTHERWISE)
         paper = builtin_family("paper-2x1-lucas")
         assert gcd_lucas_closed(paper, 6, 9) == (Poly([2]), GcdCase.LUCAS_UNEQUAL_E2)
-        assert min_even_index(paper, 10**6) == 3
+        assert min_even_index(paper) == 3
 
 
 class TestMixedGcd:
@@ -326,38 +334,33 @@ class TestCompare:
 
 class TestMinEvenIndex:
     def test_paper_2x1(self):
-        assert min_even_index(builtin_family("paper-2x1-lucas"), 12) == 3
+        assert min_even_index(builtin_family("paper-2x1-lucas")) == 3
 
-    def test_answer_at_the_bound(self):
-        f = builtin_family("paper-2x1-lucas")
-        assert min_even_index(f, 3) == 3
-        assert min_even_index(f, 2) is None
+    def test_period_one_when_every_term_is_even(self):
         # The invalid pell-lucas has gcd(L[1], p0) = gcd(2x, 2) = 2.
-        assert min_even_index(BUILTIN["pell-lucas"], 1) == 1
+        assert min_even_index(BUILTIN["pell-lucas"]) == 1
 
     def test_families_without_even_gcd(self):
         # p0 = 1 families can never reach 2; the classical Lucas family has
-        # odd-content terms throughout this range
-        assert min_even_index(builtin_family("chebyshev1"), 24) is None
-        assert min_even_index(builtin_family("lucas"), 24) is None
+        # odd content(d) and d^2 - g = x^2 - 1 with odd coefficients
+        assert min_even_index(builtin_family("chebyshev1")) is None
+        assert min_even_index(builtin_family("lucas")) is None
 
     def test_jacobsthal_lucas(self):
         # terms have constant coefficient 1, so the gcd with p0 = 2 stays 1
-        assert min_even_index(builtin_family("jacobsthal-lucas"), 24) is None
+        assert min_even_index(builtin_family("jacobsthal-lucas")) is None
 
     def test_multiples_characterization(self):
         # where the minimum exists, gcd(L[n], p0) = 2 exactly at its multiples
         f = builtin_family("paper-2x1-lucas")
-        k = min_even_index(f, 12)
+        k = min_even_index(f)
         for n in range(1, 25):
             expect = Poly([2]) if n % k == 0 else ONE
             assert gcd_with_initial(f, n) == expect, n
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            min_even_index(FIB, 10)
-        with pytest.raises(ValueError):
-            min_even_index(LUC, 0)
+            min_even_index(FIB)
 
 
 class TestClosedFormsOnRandomPairs:
@@ -368,7 +371,7 @@ class TestClosedFormsOnRandomPairs:
         two = Poly([2])
         points = otherwise = twos = 0
         for fib, lucas in _random_pairs():
-            k = min_even_index(lucas, 12)
+            k = min_even_index(lucas)
             for fa, fb in ((fib, fib), (lucas, lucas), (fib, lucas), (lucas, fib)):
                 for m in range(1, 13):
                     for n in range(1, 13):
@@ -389,7 +392,7 @@ class TestIterTable:
         # r1's Lucas partner has min_even_index 3, so table 4 has points
         # whose closed form, like the oracle, is 2 and not table 4's value 1.
         fib, lucas = _random_pairs()[1]
-        assert min_even_index(lucas, 8) == 3
+        assert min_even_index(lucas) == 3
         for table, (fa, fb) in {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}.items():
             pa, pb = table_pair(table, fib, lucas)
             assert pa is fa and pb is fb
