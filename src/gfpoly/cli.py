@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from typing import Iterable
 
 from .families import (
     PARTNER,
@@ -29,12 +30,12 @@ from .families import (
     random_pair,
     sequence,
 )
-from .gcd_theorems import GcdCase, closed_gcd, compare, iter_table, oracle_gcd, table_pair
+from .gcd_theorems import GcdCase, closed_gcd, compare, iter_table, oracle_gcd
 from .identities import IDENTITY_GROUPS, iter_reports
 from .polyring import ONE
 
 MAX_TERM_INDEX = 10_000
-MAX_RANDOM_PAIRS = 10_000  # verify draws every pair before it prints
+MAX_RANDOM_PAIRS = 10_000  # bounds verify's time; it draws the pairs again for each group
 MAX_TABLE_INDEX = 64
 
 # Rows of tables 3-5: the six classical pairs, by their Fibonacci-type member.
@@ -130,7 +131,8 @@ def cmd_gcd(args: argparse.Namespace) -> int:
     return status
 
 
-def _verify_pairs(spec: str, seed: int) -> list[tuple[Family, Family]]:
+def _verify_pairs(spec: str, seed: int) -> Iterable[tuple[Family, Family]]:
+    """Check a --families spec, then return its pairs; random:K draws them as they are read."""
     if spec == "builtin":
         spec = ",".join(f.name for f in VALID)  # both halves of a pair complete to it, kept once
     if spec.startswith("random:"):
@@ -143,7 +145,7 @@ def _verify_pairs(spec: str, seed: int) -> list[tuple[Family, Family]]:
         if count > MAX_RANDOM_PAIRS:
             raise UsageError(f"random family count {count} exceeds the cap of {MAX_RANDOM_PAIRS}")
         rng = random.Random(seed)
-        return [random_pair(rng, f"random-{i:03d}") for i in range(count)]
+        return (random_pair(rng, f"random-{i:03d}") for i in range(count))
     if spec.lstrip().startswith("{"):  # one inline family; its JSON has commas of its own
         names = [spec]
     else:
@@ -169,10 +171,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--max-index must be positive")
     if k * k + k - 1 > MAX_TERM_INDEX:  # dic2-decompose walks to L[k*k + k - 1]
         raise UsageError(f"--max-index {k} needs term index {k * k + k - 1}, past the cap of {MAX_TERM_INDEX}")
-    pairs = _verify_pairs(args.families, args.seed)
     by_group: dict[str, list[int]] = {g: [0, 0] for g in groups}
     for group, tally in by_group.items():
-        for fib, lucas in pairs:
+        for fib, lucas in _verify_pairs(args.families, args.seed):  # the first call refuses a bad spec
             clear_sequences()  # hold one pair's terms at a time
             for report in iter_reports(group, fib, lucas, k):
                 tally[0 if report.passed else 1] += 1
@@ -197,16 +198,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     k = args.max_index
     status = 0
     for fib, lucas in _verify_pairs(",".join(TABLE_ROWS), 0):
+        fa, fb = {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}[args.which]
         agree = ones_seen = 0
         cases: dict[str, int] = {}
-        for report in iter_table(args.which, fib, lucas, k):
+        for report in iter_table(fa, fb, k):
             ok = report.agrees
             if report.case is GcdCase.LUCAS_UNEQUAL_E2:  # table 4 claims the value 1 there
                 ones_seen += report.closed_form == ONE
                 ok = ok and report.closed_form == ONE
             agree += ok
             cases[report.case.value] = cases.get(report.case.value, 0) + 1
-        fa, fb = table_pair(args.which, fib, lucas)
         label = fa.name if fa is fb else f"{fa.name}/{fb.name}"
         row = {"table": args.which, "row": label, "max_index": k,
                "agree": agree, "total": k * k, "cases": cases}

@@ -6,10 +6,12 @@ Exit contract: 0 all good, 1 a requested check failed, 2 usage errors.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -317,6 +319,40 @@ class TestVerify:
         assert status == 0
         assert families._shared.cache_info().currsize <= 3
 
+    def test_random_pairs_are_drawn_again_for_each_group(self, capsys, monkeypatch):
+        # A run holds one pair at a time: each pair is drawn just before its
+        # sweep, and every group draws the same pairs in the same order.
+        events, drawn = [], []
+        draw, sweep = cli.random_pair, cli.iter_reports
+
+        def drawing(rng, name):
+            pair = draw(rng, name)
+            events.append(("draw", name))
+            drawn.append(pair)
+            return pair
+
+        def sweeping(group, fib, lucas, k):
+            events.append(("sweep", group, fib.name))
+            return sweep(group, fib, lucas, k)
+
+        monkeypatch.setattr(cli, "random_pair", drawing)
+        monkeypatch.setattr(cli, "iter_reports", sweeping)
+        status, _, _ = run_cli(capsys, "verify", "--families", "random:3", "--max-index", "2")
+        assert status == 0
+        names = [f"random-{i:03d}" for i in range(3)]
+        assert events == [event for group in identities.IDENTITY_GROUPS for name in names
+                          for event in (("draw", name), ("sweep", group, name))]
+        assert drawn == drawn[:3] * len(identities.IDENTITY_GROUPS)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("fibonacci,nope", "gfp: unknown family 'nope'"),
+        ("random:x", "gfp: bad family spec 'random:x'\n"),
+    ])
+    def test_bad_spec_is_refused_before_any_output(self, capsys, spec, message):
+        status, out, err = run_cli(capsys, "verify", "--json", "--families", spec)
+        assert (status, out) == (2, "")
+        assert err.startswith(message)
+
     def test_closed_pipe_exits_quietly(self):
         proc = gfp_process("verify", "--json")
         first = proc.stdout.readline()
@@ -358,7 +394,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("count", ["10001", "99999999999"])
     def test_random_count_is_capped(self, count):
-        # Past the cap, verify would build every pair before printing a line.
+        # The cap bounds time: each group draws and sweeps every pair again.
         proc = gfp_process("verify", "--families", f"random:{count}", "--max-index", "1")
         try:
             out, err = proc.communicate(timeout=30)
@@ -540,6 +576,35 @@ class TestImport:
         added = modules_after("import gfpoly.cli") - modules_after("pass")
         assert "gfpoly.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache"}
+
+    def test_package_imports_only_the_standard_library(self):
+        # Five verbs run in a fresh interpreter, so that pytest's own modules do not count.
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            before = set(sys.modules)
+            from gfpoly.cli import main
+            for argv in (["verify", "--max-index", "3"], ["table", "5", "--max-index", "3"],
+                         ["gcd", "fibonacci", "4", "lucas", "2", "--check"],
+                         ["families", "--json"], ["term", "fibonacci", "30", "--json"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+            print(*{name.partition(".")[0] for name in set(sys.modules) - before})
+        """)
+        src = str(Path(gfpoly.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        imported = set(out.split())
+        assert "gfpoly" in imported
+        assert imported - set(sys.stdlib_module_names) - {"gfpoly"} == set()
+
+    def test_no_module_imports_another_modules_underscore_name(self):
+        package = Path(gfpoly.__file__).resolve().parent
+        private = [f"{path.name}:{node.lineno}: {alias.name}"
+                   for path in sorted(package.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 class TestNoPolyHashed:

@@ -29,7 +29,6 @@ from gfpoly.gcd_theorems import (
     iter_table,
     min_even_index,
     oracle_gcd,
-    table_pair,
     two_adic_valuation,
 )
 from gfpoly.polyring import ONE, Poly, poly_gcd_z
@@ -394,9 +393,7 @@ class TestIterTable:
         fib, lucas = _random_pairs()[1]
         assert min_even_index(lucas) == 3
         for table, (fa, fb) in {3: (fib, fib), 4: (lucas, lucas), 5: (fib, lucas)}.items():
-            pa, pb = table_pair(table, fib, lucas)
-            assert pa is fa and pb is fb
-            reports = list(iter_table(table, fib, lucas, 8))
+            reports = list(iter_table(fa, fb, 8))
             assert [(r.m, r.n) for r in reports] == list(product(range(1, 9), repeat=2))
             for r in reports:
                 assert r == compare(fa, fb, r.m, r.n, *closed_gcd(fa, fb, r.m, r.n)), (table, r.m, r.n)
