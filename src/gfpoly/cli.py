@@ -133,6 +133,7 @@ def cmd_gcd(args: argparse.Namespace) -> int:
 
 def _verify_pairs(spec: str, seed: int) -> Iterable[tuple[Family, Family]]:
     """Check a --families spec, then return its pairs; random:K draws them as they are read."""
+    spec = spec.strip()
     if spec == "builtin":
         spec = ",".join(f.name for f in VALID)  # both halves of a pair complete to it, kept once
     if spec.startswith("random:"):
@@ -146,10 +147,8 @@ def _verify_pairs(spec: str, seed: int) -> Iterable[tuple[Family, Family]]:
             raise UsageError(f"random family count {count} exceeds the cap of {MAX_RANDOM_PAIRS}")
         rng = random.Random(seed)
         return (random_pair(rng, f"random-{i:03d}") for i in range(count))
-    if spec.lstrip().startswith("{"):  # one inline family; its JSON has commas of its own
-        names = [spec]
-    else:
-        names = [s.strip() for s in spec.split(",") if s.strip()]
+    # An inline family is one name: its JSON has commas of its own.
+    names = [spec] if spec.startswith("{") else [s.strip() for s in spec.split(",") if s.strip()]
     if not names:
         raise UsageError("no families selected")
     pairs = []

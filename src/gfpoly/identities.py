@@ -326,13 +326,11 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     q - 1's at r = 0 has the same e and the opposite sign.  Row 0's
     witnesses are 0, and step to 0 at (1, 0).
 
-    The targets are stepped to L[m(k+1)], one past the last.  Each
-    candidate is re-multiplied with its correction in one coefficient list.
-    A miss is reported by decompose_mod_gm itself, and a zero L[m] raises
-    its ZeroDivisionError.  The shared cache is asked for no term past L[k]
-    while every point passes.  A miss fetches L[mq+r] through it: past
-    RETAINED that walks the cache's tail there, restarting it from
-    L[RETAINED] when the tail is already further on.
+    The targets are stepped to L[m(k+1)], one past the last, so the shared
+    cache is asked for no term past L[k].  Each candidate is re-multiplied
+    with its correction in one coefficient list.  A miss is divided from
+    the walked target, as decompose_mod_gm divides it, and a zero L[m]
+    raises exact_div's ZeroDivisionError.
     """
     seq = sequence(lucas)
     alpha = lucas.alpha()
@@ -352,7 +350,8 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
             if terms and _remultiplies(terms, witness, power, seq.term(i), sign, target):
                 yield IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
             else:
-                yield decompose_mod_gm(lucas, m, q, r)
+                yield _decomposition("dic2-decompose", lucas.name, (m, q, r), target, divisor,
+                                     power * seq.term(i) * sign)
             before, target = target, step(d, g, target.coeffs, before.coeffs)
 
 

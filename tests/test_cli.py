@@ -283,11 +283,16 @@ class TestVerify:
         assert len(out.strip().splitlines()) == 12  # 11 groups + total
 
     def test_family_list_dedupes_pairs(self, capsys):
-        _, single, _ = run_cli(capsys, "verify", "--identity", "convolution",
-                               "--families", "fibonacci", "--max-index", "3")
-        _, both, _ = run_cli(capsys, "verify", "--identity", "convolution",
-                             "--families", "fibonacci,lucas", "--max-index", "3")
-        assert single == both
+        def verify(spec):
+            status, out, _ = run_cli(capsys, "verify", "--identity", "convolution",
+                                     "--families", spec, "--seed", "11", "--max-index", "3")
+            assert status == 0, spec
+            return out
+
+        assert verify("fibonacci") == verify("fibonacci,lucas")
+        # Spaces around the whole spec are trimmed, as around each name.
+        for spec in (" random:3", " builtin", "builtin "):
+            assert verify(spec) == verify(spec.strip()), spec
 
     def test_random_families(self, capsys):
         status, out, _ = run_cli(capsys, "verify", "--identity", "addition",

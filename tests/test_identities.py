@@ -363,6 +363,16 @@ def counting_divisions():
     return mock.patch.object(identities, "exact_div", counted), calls
 
 
+# Lucas-kind families whose p1 + 1 breaks the addition law, so most
+# dic2-decompose points have no witness: d = x, g = 1, p0 = 2, p1 = x + 1,
+# and two seeded random partners with p1 + 1.
+BENT_FAMILIES = [
+    Family("bent", Kind.LUCAS, X, ONE, Poly([2]), Poly([1, 1])),
+    *(lucas._replace(name=f"{lucas.name}-bent", p1=lucas.p1 + ONE)
+      for lucas in (random_pair(random.Random(seed), f"r{seed}")[1] for seed in (0, 1))),
+]
+
+
 class TestDecomposeSweep:
     """The sweep walks one witness pair and one target pair by the
     recurrence, with an addition-law kick at each odd row; decompose_mod_gm
@@ -405,9 +415,8 @@ class TestDecomposeSweep:
         finally:
             clear_sequences()
 
-    def test_failing_family_gets_the_division_reports(self):
-        # p1 = x + 1 breaks the addition law, so most points have no witness.
-        bent = Family("bent", Kind.LUCAS, Poly([0, 1]), ONE, Poly([2]), Poly([1, 1]))
+    @pytest.mark.parametrize("bent", BENT_FAMILIES, ids=lambda family: family.name)
+    def test_failing_family_gets_the_division_reports(self, bent):
         reports = list(iter_reports("dic2-decompose", FIB, bent, 6))
         assert any(report.witness is None for report in reports)
         for report in reports:
@@ -456,17 +465,18 @@ class TestDecomposeSweep:
                 assert other == rhs or not identities._remultiplies(terms, witness, power, low, sign, other)
 
     def test_sweep_asks_the_shared_lucas_cache_for_no_term_past_k(self, monkeypatch):
-        # The targets L[mq+r] reach L[k*k + k - 1]; the sweep walks them itself.
+        # The targets L[mq+r] reach L[k*k + k - 1]; the sweep walks them
+        # itself, and divides a miss from the walked target.
         asked = []
         term = families.SequenceCache.term
         monkeypatch.setattr(families.SequenceCache, "term", lambda cache, n: asked.append((cache, n)) or term(cache, n))
-        for fib_name, lucas_name in PAIRS:
-            fib, lucas = builtin_pair(fib_name, lucas_name)
+        pairs = [(*builtin_pair(fib_name, lucas_name), 14) for fib_name, lucas_name in PAIRS]
+        for fib, lucas, k in [*pairs, (FIB, BENT_FAMILIES[0], 6)]:
             clear_sequences()
-            reports = list(iter_reports("dic2-decompose", fib, lucas, 14))
-            assert max(report.params[0] * report.params[1] + report.params[2] for report in reports) == 209
+            reports = list(iter_reports("dic2-decompose", fib, lucas, k))
+            assert max(report.params[0] * report.params[1] + report.params[2] for report in reports) == k * k + k - 1
             seq = sequence(lucas)
-            assert max(n for cache, n in asked if cache is seq) <= 14, fib_name
+            assert max(n for cache, n in asked if cache is seq) <= k, lucas.name
             asked.clear()
 
 
