@@ -177,14 +177,13 @@ def min_even_index(family: Family) -> int | None:
     The hypothesis is a constant p0 with |p0| in {1, 2} and 2 * p1 = p0 * d.
     The parity of d, g and p0 then fixes the period, with no term built
     (the README derives it): 1 when |p0| = 2 and content(d) is even, so
-    that every term is even; 3 when |p0| = 2, content(d) is odd and d^2 - g
-    has even coefficients; None otherwise.  A Lucas-kind family outside the
-    hypothesis gets the same rule, whose answer then need not be its gcd.
+    that every term is even; 3 when |p0| = 2, content(d) is odd and
+    content(d^2 - g) is even; None otherwise.  A Lucas-kind family outside
+    the hypothesis gets the same rule, whose answer then need not be its gcd.
     """
     require_kind(family, Kind.LUCAS, "min_even_index")
     if abs(family.p0.leading) != 2:
         return None
     if family.d.content() % 2 == 0:
         return 1
-    odd = any(c % 2 for c in (family.d * family.d - family.g).coeffs)
-    return None if odd else 3
+    return None if (family.d * family.d - family.g).content() % 2 else 3

@@ -2,8 +2,8 @@
 
 Every check returns IdentityReport records carrying the compared values, a
 verdict, and (for the divisibility decompositions) a quotient witness that
-re-multiplies to the original term.  Witnesses come from exact division,
-except in the dic2-decompose sweep (see _sweep_dic2_decompose).  Families
+re-multiplies to the original term.  A witness is a candidate that the
+dic2-decompose sweep walks, or else comes from exact division.  Families
 named F below are Fibonacci type, L are Lucas type; pair checks take an
 equivalent (F, L) pair sharing one recurrence (d, g) and use alpha = 2 / p0
 of the Lucas side.
@@ -78,14 +78,18 @@ def _equation(identity_id: str, family: str, params: tuple[int, ...], lhs: Poly,
     return IdentityReport(identity_id, family, params, lhs, rhs, lhs == rhs)
 
 
-def _decomposition(identity_id: str, family: str, params: tuple[int, ...],
-                   target: Poly, divisor: Poly, correction: Poly = ZERO) -> IdentityReport:
-    """Check target = divisor * witness + correction, the witness from exact
-    division.  The witness is re-multiplied into rhs, so pass means it
-    exists and rhs equals target bit for bit."""
-    witness = exact_div(target - correction, divisor)
-    rhs = divisor * witness + correction if witness is not None else correction
-    return IdentityReport(identity_id, family, params, target, rhs, witness is not None and target == rhs, witness)
+def _decomposition(identity_id: str, family: str, params: tuple[int, ...], target: Poly, divisor: Poly,
+                   power: Poly = ONE, low: Poly = ZERO, sign: int = 1, witness: Poly | None = None) -> IdentityReport:
+    """Check target = divisor * witness + sign * power * low.  A candidate
+    witness that does not re-multiply, or none, is replaced by exact
+    division's quotient.  Pass means the witness re-multiplies to target
+    bit for bit, which is then rhs; a miss has the correction as rhs."""
+    if witness is None or not _remultiplies(divisor, witness, power, low, sign, target):
+        correction = power * low * sign
+        witness = exact_div(target - correction, divisor)
+        if witness is None or not _remultiplies(divisor, witness, power, low, sign, target):
+            return IdentityReport(identity_id, family, params, target, correction, False, witness)
+    return IdentityReport(identity_id, family, params, target, target, True, witness)
 
 
 def check_convolution(family: Family, m: int, n: int) -> IdentityReport:
@@ -172,8 +176,8 @@ def decompose_mod_gm(lucas: Family, m: int, q: int, r: int) -> IdentityReport:
         raise ValueError("need r < m")
     seq = sequence(lucas)
     e, i, sign = _correction(m, q, r)
-    correction = seq.g_power(e) * seq.term(i) * sign
-    return _decomposition("dic2-decompose", lucas.name, (m, q, r), seq.term(m * q + r), seq.term(m), correction)
+    return _decomposition("dic2-decompose", lucas.name, (m, q, r), seq.term(m * q + r), seq.term(m),
+                          seq.g_power(e), seq.term(i), sign)
 
 
 def _correction(m: int, q: int, r: int) -> tuple[int, int, int]:
@@ -183,14 +187,15 @@ def _correction(m: int, q: int, r: int) -> tuple[int, int, int]:
     return e, i, (-1) ** (e + t)
 
 
-def _remultiplies(divisor: list[tuple[int, int]], witness: Poly, power: Poly, low: Poly,
-                  sign: int, target: Poly) -> bool:
+def _remultiplies(divisor: Poly, witness: Poly, power: Poly, low: Poly, sign: int, target: Poly) -> bool:
     """Whether divisor * witness + sign * power * low equals target, summed
-    into one coefficient list with no intermediate Poly.  divisor is given
-    as its nonzero (index, coefficient) terms, at least one."""
-    w, p, l = witness.coeffs, power.coeffs, low.coeffs
-    out = [0] * max(len(w) + divisor[-1][0], len(p) + len(l) - 1)
-    add_product(out, w, divisor)
+    into one coefficient list with no intermediate Poly.  A zero divisor
+    never re-multiplies, so that exact division raises on it."""
+    if divisor.is_zero:
+        return False
+    v, w, p, l = divisor.coeffs, witness.coeffs, power.coeffs, low.coeffs
+    out = [0] * (max(len(w) + len(v), len(p) + len(l)) - 1)
+    add_product(out, w, [(j, b) for j, b in enumerate(v) if b])
     add_product(out, p, [(j, sign * b) for j, b in enumerate(l) if b])
     while out and not out[-1]:
         out.pop()
@@ -327,17 +332,14 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
     witnesses are 0, and step to 0 at (1, 0).
 
     The targets are stepped to L[m(k+1)], one past the last, so the shared
-    cache is asked for no term past L[k].  Each candidate is re-multiplied
-    with its correction in one coefficient list.  A miss is divided from
-    the walked target, as decompose_mod_gm divides it, and a zero L[m]
-    raises exact_div's ZeroDivisionError.
+    cache is asked for no term past L[k].  _decomposition checks each
+    candidate.
     """
     seq = sequence(lucas)
     alpha = lucas.alpha()
     d, g = lucas.d.coeffs, lucas.g.coeffs
     for m in range(1, k + 1):
         divisor = seq.term(m)
-        terms = [(j, b) for j, b in enumerate(divisor.coeffs) if b]
         witness, ahead = ZERO, ZERO  # T[q, r], T[q, r+1]
         before, target = seq.term(m - 1), divisor  # L[n-1], L[n]
         for q, r in product(range(1, k + 1), range(m)):
@@ -347,11 +349,8 @@ def _sweep_dic2_decompose(fib: Family, lucas: Family, k: int) -> Iterator[Identi
             if q % 2 and not r:
                 kick = power * -(alpha * sign)
                 witness, ahead = witness + kick * seq.term(0), ahead + kick * seq.term(1)
-            if terms and _remultiplies(terms, witness, power, seq.term(i), sign, target):
-                yield IdentityReport("dic2-decompose", lucas.name, (m, q, r), target, target, True, witness)
-            else:
-                yield _decomposition("dic2-decompose", lucas.name, (m, q, r), target, divisor,
-                                     power * seq.term(i) * sign)
+            yield _decomposition("dic2-decompose", lucas.name, (m, q, r), target, divisor,
+                                 power, seq.term(i), sign, witness)
             before, target = target, step(d, g, target.coeffs, before.coeffs)
 
 

@@ -3,8 +3,8 @@
 Each identity gets at least one example whose both sides were expanded by
 hand (or whose witness was computed by independent long division) before
 being frozen here, plus sweep coverage through iter_reports.  Witness-style
-reports must re-multiply exactly: rhs is rebuilt from the witness, or in
-the dic2-decompose sweep is the target the witness re-multiplied to.
+reports must re-multiply exactly: a passing one's rhs is the target its
+witness re-multiplied to.
 """
 
 from __future__ import annotations
@@ -434,17 +434,16 @@ class TestDecomposeSweep:
         assert [report.params for report in reports] == [(1, 1, 0), (1, 2, 0), (1, 3, 0)]
 
     @pytest.mark.parametrize("m, q, r", [(1, 1, 0), (3, 2, 1), (4, 5, 0), (5, 3, 4)])
-    def test_wrong_candidate_falls_back_to_division(self, m, q, r, monkeypatch):
+    def test_wrong_candidate_falls_back_to_division(self, m, q, r):
         report = decompose_mod_gm(LUC, m, q, r)
         seq = sequence(LUC)
         e, i, sign = identities._correction(m, q, r)
-        divisor = [(j, b) for j, b in enumerate(seq.term(m).coeffs) if b]
-        rest = seq.g_power(e), seq.term(i), sign, report.lhs
-        assert identities._remultiplies(divisor, report.witness, *rest)
+        divisor, correction = seq.term(m), (seq.g_power(e), seq.term(i), sign)
+        assert identities._remultiplies(divisor, report.witness, *correction, report.lhs)
         for candidate in (ONE, Poly([0, 1])):
-            assert not identities._remultiplies(divisor, candidate, *rest)
-        monkeypatch.setattr(identities, "_remultiplies", lambda *args: False)
-        assert report in iter_reports("dic2-decompose", FIB, LUC, max(m, q))
+            assert not identities._remultiplies(divisor, candidate, *correction, report.lhs)
+            assert identities._decomposition("dic2-decompose", LUC.name, (m, q, r), report.lhs, divisor,
+                                             *correction, candidate) == report
 
     @pytest.mark.parametrize("divisor, witness, power, low", [
         (Poly([3]), ZERO, Poly([1]), Poly([0, 1])),  # zero witness
@@ -456,13 +455,15 @@ class TestDecomposeSweep:
         (Poly([1, -2, 3]), Poly([4, 5, -6, 7]), Poly([1, 1, 1, 1]), Poly([2, -3, 5, -7, 11])),  # dense
     ])
     def test_remultiplies_agrees_with_poly_arithmetic(self, divisor, witness, power, low):
-        terms = [(j, b) for j, b in enumerate(divisor.coeffs) if b]
         for sign in (1, -1):
             rhs = divisor * witness + power * low * sign
-            assert identities._remultiplies(terms, witness, power, low, sign, rhs)
+            assert identities._remultiplies(divisor, witness, power, low, sign, rhs)
             # Off in the constant, one term longer, one term shorter.
             for other in (rhs + ONE, rhs + Poly([0] * len(rhs.coeffs) + [1]), Poly(rhs.coeffs[:-1])):
-                assert other == rhs or not identities._remultiplies(terms, witness, power, low, sign, other)
+                assert other == rhs or not identities._remultiplies(divisor, witness, power, low, sign, other)
+            # A zero divisor never re-multiplies, not even to the correction
+            # alone, so that exact division raises on it.
+            assert not identities._remultiplies(ZERO, witness, power, low, sign, power * low * sign)
 
     def test_sweep_asks_the_shared_lucas_cache_for_no_term_past_k(self, monkeypatch):
         # The targets L[mq+r] reach L[k*k + k - 1]; the sweep walks them

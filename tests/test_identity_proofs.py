@@ -1,4 +1,5 @@
-"""Proofs, not samples: five equational identity groups hold at every index
+"""Proofs, not samples: five equational identity groups, and the three
+decomposition groups that follow from lucas-addition, hold at every index
 for every family.
 
 `gfp verify` checks the identity catalog up to --max-index.  For the five
@@ -61,9 +62,30 @@ evaluates P there exactly, and SequenceCache does not validate, so d = 0
 and g = 0 are points like any other.
 
 The orders and weights are written once, in LAWS; the grids are computed
-from them.  The other six groups are not equational (dic2-decompose,
-dic2-pow2, divides-iff, odd-divisor, neighbor-gcd, mixed-shift), and
-`gfp verify` checks them only up to --max-index.
+from them.
+
+Decompositions.  Lucas-addition, proved above for every coupled pair, is
+L[m+n] = alpha L[m]L[n] + (-1)^(m+1) g^m L[n-m] for m <= n.  Modulo L[m]
+it gives, at (m, m(q-1) + r) with q >= 2,
+L[mq+r] = (-1)^(m+1) g^m L[m(q-2)+r], and at (r, m),
+L[m+r] = (-1)^(r+1) g^r L[m-r].  From q = 0, where L[r] is its own
+remainder, and q = 1, induction on q in steps of 2 gives
+L[mq+r] = sign g^e L[i] mod L[m] with
+- for q = 2t, (e, i, sign) = (mt, r, (-1)^((m+1)t));
+- for q = 2t - 1, (e, i, sign) = (m(t-1) + r, m - r,
+  (-1)^((m+1)(t-1) + r + 1)).
+Both signs are (-1)^(e+t), which is _correction's, so
+test_correction_is_the_derived_triple checks the code against this
+triple.  Each step adds alpha L[m] times a term to the quotient, and
+alpha is an integer, so for a nonzero L[m] exact division in Z[x] finds
+it: dic2-decompose holds at every (m, q, r) with r < m.  dic2-pow2 is its
+point (r, 2^n, 0).  odd-divisor is its point (m/q, q, 0) with q odd,
+whose correction +-g^e L[m/q] is itself a multiple of L[m/q].  What this
+does not prove is the dic2-decompose sweep's walked quotients; the
+re-multiply in `_decomposition` checks each of those.
+
+The other three groups (divides-iff, neighbor-gcd, mixed-shift) are not
+proved here, and `gfp verify` checks them only up to --max-index.
 """
 
 from __future__ import annotations
@@ -73,7 +95,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from gfpoly.families import Family, Kind, clear_sequences, sequence
+from gfpoly import identities
+from gfpoly.families import Family, Kind, builtin_family, clear_sequences, sequence
 from gfpoly.identities import (
     IDENTITY_GROUPS,
     IdentityReport,
@@ -82,6 +105,7 @@ from gfpoly.identities import (
     check_convolution,
     check_discriminant_laws,
     check_lucas_addition,
+    decompose_mod_gm,
 )
 from gfpoly.polyring import ONE, X, ZERO, Poly
 
@@ -214,3 +238,46 @@ def test_the_proof_can_fail():
     assert failures["convolution"][0] == (1, 0, 1, 1, 1)
     assert failures["lucas-addition"][0] == (1, 0, 0, 0, 0)
     assert all(g and m and n for _, _, g, m, n in failures["convolution"])
+
+
+def derived_correction(m: int, q: int, r: int) -> tuple[int, int, int]:
+    """(e, i, sign) with L[mq+r] = sign g^e L[i] mod L[m], by the induction
+    in the module docstring."""
+    t = (q + 1) // 2
+    if q % 2 == 0:
+        return m * t, r, (-1) ** ((m + 1) * t)
+    return m * (t - 1) + r, m - r, (-1) ** ((m + 1) * (t - 1) + r + 1)
+
+
+# Every m, q <= 12 and r < m: both parities of each of m, q and r.
+CORRECTION_GRID = [(m, q, r) for m in range(1, 13) for q in range(1, 13) for r in range(m)]
+
+
+def correction_mismatches(correction: Callable[[int, int, int], tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    return [point for point in CORRECTION_GRID if correction(*point) != derived_correction(*point)]
+
+
+def flipped_sign(m: int, q: int, r: int) -> tuple[int, int, int]:
+    """The derived triple with the sign (-1)^e, the t of (-1)^(e+t) dropped."""
+    e, i, _ = derived_correction(m, q, r)
+    return e, i, (-1) ** e
+
+
+def test_correction_is_the_derived_triple():
+    assert len(CORRECTION_GRID) == 936
+    assert {(m % 2, q % 2, r % 2) for m, q, r in CORRECTION_GRID} == set(product((0, 1), repeat=3))
+    assert correction_mismatches(identities._correction) == []
+
+
+def test_a_corrupted_sign_fails_the_check_and_the_decomposition(monkeypatch):
+    # The flip changes the sign exactly when t is odd: q = 1, 2 mod 4.
+    wrong = correction_mismatches(flipped_sign)
+    assert wrong == [(m, q, r) for m, q, r in CORRECTION_GRID if q % 4 in (1, 2)]
+    lucas = builtin_family("lucas")
+    small = [(m, q, r) for m, q, r in wrong if m <= 5 and q <= 6]
+    assert all(decompose_mod_gm(lucas, *point).passed for point in small)
+    monkeypatch.setattr(identities, "_correction", flipped_sign)
+    missed = [point for point in small if not decompose_mod_gm(lucas, *point).passed]
+    # A flipped 2 g^e L[i] with i < m has lower degree than L[m], so only
+    # the odd rows' r = 0, whose correction is +-L[m] itself, still pass.
+    assert missed == [(m, q, r) for m, q, r in small if not (q % 2 and r == 0)]

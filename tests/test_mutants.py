@@ -1,4 +1,8 @@
-"""tools/mutants.py's killed(): a timed-out test run leaves no process behind.
+"""tools/mutants.py: its EQUIVALENT keys are current, and a timed-out test
+run leaves no process behind.
+
+Each EQUIVALENT key names a source line of a module, so an edit to that
+line leaves the key naming no site; `--list` stops on such a key.
 
 A mutant that lifts a cap can make a CLI test start a `python -m gfpoly`
 command that runs for an hour; killing only pytest would orphan it.  Here
@@ -14,9 +18,27 @@ import signal
 import time
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location("mutants", Path(__file__).resolve().parents[1] / "tools" / "mutants.py")
 mutants = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(mutants)
+
+MODULES = sorted(path.stem for path in (mutants.ROOT / "src" / "gfpoly").glob("*.py")
+                 if not path.stem.startswith("_"))
+
+
+def test_modules_are_the_five_with_sites():
+    assert MODULES == ["cli", "families", "gcd_theorems", "identities", "polyring"]
+    assert {key[0] for key in mutants.EQUIVALENT} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_equivalent_key_names_a_site(module, capsys):
+    handler = signal.getsignal(signal.SIGTERM)
+    assert mutants.main([module, "--list"]) == 0
+    assert capsys.readouterr().out
+    assert signal.getsignal(signal.SIGTERM) is handler  # --list runs no child to clean up after
 
 SLEEPER = """\
 import subprocess, sys, time

@@ -22,8 +22,8 @@ seed SEED, so a sample is the same on every run.  Sites listed in
 EQUIVALENT are skipped: no test can tell those mutants from the
 original.  A key of MODULE that names none of its sites stops the tool
 with a message before it lists or runs anything.  The exit status is 1
-when a mutant survives all of tests/, else 0.  This is not part of the
-test suite: a mutant takes from 1 s to a minute.
+when a mutant survives all of tests/, else 0.  Only --list is part of the
+test suite (tests/test_mutants.py): a mutant takes from 1 s to a minute.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ EQUIVALENT = {
     ("cli", "if k * k + k - 1 > MAX_TERM_INDEX:", "1 -> 2", 0),
     # A spec of names draws no random pair, so its seed is unused.
     ("cli", 'for fib, lucas in _verify_pairs(",".join(TABLE_ROWS), 0):', "0 -> 1", 0),
-    # d^2 + g and d^2 - g have the same parity, coefficient by coefficient.
-    ("gcd_theorems", "odd = any(c % 2 for c in (family.d * family.d - family.g).coeffs)", "Sub -> Add", 0),
+    # d^2 + g and d^2 - g have the same parity, coefficient by coefficient,
+    # and so contents of the same parity.
+    ("gcd_theorems", "return None if (family.d * family.d - family.g).content() % 2 else 3", "Sub -> Add", 0),
     # RETAINED sets how many terms a cache keeps, not what any term is.
     ("families", "RETAINED = 256", "256 -> 257", 0),
     # step's store-in-place path only skips adding into zeros: two more
@@ -73,12 +74,16 @@ EQUIVALENT = {
     ("families", "out = [0] * (max(len(d) + len(t1), len(g) + len(t0)) - 1)", "Sub -> Add", 0),
     ("families", "unwritten = 0", "0 -> 1", 0),
     ("families", "if i >= unwritten:", "GtE -> Gt", 0),
+    # Only odd-divisor takes the default correction, whose low = ZERO makes
+    # it zero whatever the sign.
+    ("identities", "power: Poly = ONE, low: Poly = ZERO, sign: int = 1, witness: Poly | None = None) -> IdentityReport:",
+     "1 -> 2", 0),
     # 4 and 5 have the same bit length and the same quotient by 2^2, so
     # the dic2-pow2 sweep visits the same (n, r) at every k.
     ("identities", "cap = max(4, 2 * k)", "4 -> 5", 0),
     # Two more zeros at the top of the sum, which _remultiplies trims before
     # it compares.
-    ("identities", "out = [0] * max(len(w) + divisor[-1][0], len(p) + len(l) - 1)", "Sub -> Add", 0),
+    ("identities", "out = [0] * (max(len(w) + len(v), len(p) + len(l)) - 1)", "Sub -> Add", 0),
     # m + 2 in place of m + 1 adds at most q = m + 1, which never divides m.
     ("identities", "for q in range(1, m + 1, 2):", "1 -> 2", 1),
     # sign is 1 or -1, and floor division by it is multiplication by it.
@@ -178,7 +183,6 @@ def _terminate(signum, frame):
 
 
 def main(argv: list[str] | None = None) -> int:
-    signal.signal(signal.SIGTERM, _terminate)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module")
     parser.add_argument("--sample", type=int, help="try N sites, not all")
@@ -200,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         found = sorted(random.Random(SEED).sample(found, min(args.sample, len(found))))
     own_tests = f"tests/test_{args.module}.py"
     counts = {"killed": 0, "equivalent": 0, "killed by tests/": 0, "survived": 0}
+    signal.signal(signal.SIGTERM, _terminate)
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests", "tools"):
