@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
@@ -86,6 +87,10 @@ def specs(draw) -> str:
     return draw(st.sampled_from(["", ",", " , "]))
 
 
+# The largest --max-index that verify accepts: dic2-decompose walks to L[k*k + k - 1].
+VERIFY_CAP = max(k for k in range(math.isqrt(cli.MAX_TERM_INDEX) + 1) if k * k + k - 1 <= cli.MAX_TERM_INDEX)
+
+
 def index(cap: int, low: int = 0) -> st.SearchStrategy[str]:
     return st.one_of(st.integers(low, 3).map(str), st.sampled_from([str(low - 1), str(cap + 1), "x", "1.5"]))
 
@@ -107,7 +112,7 @@ def argvs(draw) -> list[str]:
         identity = draw(st.one_of(st.sampled_from([*IDENTITY_GROUPS, "all"]),
                                   st.sampled_from(["nosuch", "Convolution", ""])))
         argv = ["verify", "--identity", identity, "--families", draw(PAD) + draw(specs()) + draw(PAD),
-                "--max-index", draw(index(99, 1)), "--seed", draw(st.sampled_from(["0", "-1", "7"]))]
+                "--max-index", draw(index(VERIFY_CAP, 1)), "--seed", draw(st.sampled_from(["0", "-1", "7"]))]
     else:
         argv = ["table", draw(st.sampled_from(["3", "4", "5", "6"])), "--max-index",
                 draw(index(cli.MAX_TABLE_INDEX, 1))]

@@ -40,6 +40,13 @@ def test_every_equivalent_key_names_a_site(module, capsys):
     assert capsys.readouterr().out
     assert signal.getsignal(signal.SIGTERM) is handler  # --list runs no child to clean up after
 
+
+def test_mutant_runs_leave_out_the_key_check():
+    # A mutant written by ast.unparse can change the text a key names, so
+    # killed() deselects this check; a rename here would quietly undo that.
+    path, name = mutants.KEY_CHECK.split("::")
+    assert (path, name) == (f"tests/{Path(__file__).name}", test_every_equivalent_key_names_a_site.__name__)
+
 SLEEPER = """\
 import subprocess, sys, time
 from pathlib import Path
