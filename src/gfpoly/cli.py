@@ -47,8 +47,9 @@ class UsageError(ValueError):
 
 
 def _resolve_family(text: str) -> Family:
-    """A builtin name, or an inline JSON family definition."""
-    if text.lstrip().startswith("{"):
+    """A builtin name, or an inline JSON family definition; blanks around either are ignored."""
+    text = text.strip()
+    if text.startswith("{"):
         try:
             family = Family.from_json(json.loads(text))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -134,8 +135,6 @@ def cmd_gcd(args: argparse.Namespace) -> int:
 def _verify_pairs(spec: str, seed: int) -> Iterable[tuple[Family, Family]]:
     """Check a --families spec, then return its pairs; random:K draws them as they are read."""
     spec = spec.strip()
-    if spec == "builtin":
-        spec = ",".join(f.name for f in VALID)  # both halves of a pair complete to it, kept once
     if spec.startswith("random:"):
         try:
             count = int(spec.split(":", 1)[1])
@@ -148,12 +147,11 @@ def _verify_pairs(spec: str, seed: int) -> Iterable[tuple[Family, Family]]:
         rng = random.Random(seed)
         return (random_pair(rng, f"random-{i:03d}") for i in range(count))
     # An inline family is one name: its JSON has commas of its own.
-    names = [spec] if spec.startswith("{") else [s.strip() for s in spec.split(",") if s.strip()]
+    names = [spec] if spec.startswith("{") else [s for s in spec.split(",") if s.strip()]
     if not names:
         raise UsageError("no families selected")
     pairs = []
-    for name in names:
-        family = _resolve_family(name)
+    for family in VALID if spec == "builtin" else map(_resolve_family, names):  # VALID holds both halves of each pair
         other = equivalent_family(family)
         pair = (family, other) if family.kind is Kind.FIBONACCI else (other, family)
         if pair not in pairs:

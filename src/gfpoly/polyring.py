@@ -153,25 +153,19 @@ class Poly:
         return cls(int(c) for c in data)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
+        text = ""
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            if c:
+                if c < 0:
+                    text += " - " if text else "-"
+                elif text:
+                    text += " + "
+                if abs(c) != 1 or i == 0:
+                    text += str(abs(c))
+                if i:
+                    text += "x" if i == 1 else f"x^{i}"
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"

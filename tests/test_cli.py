@@ -122,6 +122,15 @@ class TestTerm:
         assert status == 2
         assert "tribonacci" in err
 
+    def test_blanks_around_the_family_are_ignored(self, capsys):
+        assert run_cli(capsys, "term", " fibonacci ", "3") == (0, "x^2 + 1\n", "")
+        assert run_cli(capsys, "term", f"\t{FIB_JSON} ", "5") == run_cli(capsys, "term", FIB_JSON, "5")
+
+    def test_padded_unknown_family(self, capsys):
+        status, out, err = run_cli(capsys, "term", " tribonacci\t", "3")
+        assert (status, out) == (2, "")
+        assert err.startswith("gfp: unknown family 'tribonacci'; known: ") and err.count("\n") == 1
+
     def test_invalid_builtin_rejected(self, capsys):
         status, _, err = run_cli(capsys, "term", "pell-lucas", "3")
         assert status == 2
@@ -181,6 +190,12 @@ class TestTerm:
 
 
 class TestGcd:
+    @pytest.mark.parametrize("a, b", [("lucas\t", "lucas"), ("lucas", " lucas"), (" lucas ", "\tlucas ")])
+    def test_blanks_around_either_family_are_ignored(self, capsys, a, b):
+        expected = run_cli(capsys, "gcd", "lucas", "3", "lucas", "9")
+        assert expected[0] == 0
+        assert run_cli(capsys, "gcd", a, "3", b, "9") == expected
+
     def test_same_family_lucas(self, capsys):
         status, out, _ = run_cli(capsys, "gcd", "lucas", "3", "lucas", "9")
         assert status == 0
@@ -351,6 +366,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("spec, message", [
         ("fibonacci,nope", "gfp: unknown family 'nope'"),
+        ("fibonacci, nope\t", "gfp: unknown family 'nope'"),
         ("random:x", "gfp: bad family spec 'random:x'\n"),
     ])
     def test_bad_spec_is_refused_before_any_output(self, capsys, spec, message):

@@ -1,11 +1,11 @@
 """The CLI's exit contract on drawn argv, not on hand-picked inputs.
 
 A small grammar draws each verb's arguments: built-in, missing and
-case-changed family names; padded, comma-joined and empty --families
-specs; random:K around 0; inline JSON that is valid or broken in one
-place (a missing key, a float, a bool, nesting, a non-ASCII digit, a huge
-integer, truncation); and indices at -1, 0, 1, small values and one past
-each cap.  cli.main runs in process, and every draw must keep the
+case-changed family names, with blanks drawn around each; padded,
+comma-joined and empty --families specs; random:K around 0; inline JSON
+that is valid or broken in one place (a missing key, a float, a bool,
+nesting, a non-ASCII digit, a huge integer, truncation); and indices at
+-1, 0, 1, small values and one past each cap.  cli.main runs in process, and every draw must keep the
 contract of the module docstring of gfpoly.cli:
 
 - the exit status is 0, 1 or 2, and no traceback reaches stderr;
@@ -14,7 +14,9 @@ contract of the module docstring of gfpoly.cli:
 - status 0 with --json prints JSON (one object per line for the grid
   verbs, one document for families);
 - a --families spec padded with whitespace prints what the trimmed spec
-  prints.
+  prints;
+- a family argument of term or gcd, or a name in a --families list,
+  padded with whitespace gives the status and output of its trimmed form.
 
 Accepted sizes stay small: no random:10000 and no index near a cap, whose
 runs take minutes to hours.  Draws are derandomized, so every run tries
@@ -45,6 +47,11 @@ NAMES = st.one_of(
 )
 PAD = st.sampled_from(["", " ", "  ", "\t"])
 
+
+def padded(strategy: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.tuples(PAD, strategy, PAD).map("".join)
+
+
 FIB_JSON = {"name": "j", "kind": "fibonacci", "d": ["0", "1"], "g": ["1"], "p0": [], "p1": ["1"]}
 LUCAS_JSON = {"name": "jl", "kind": "lucas", "d": ["0", "1"], "g": ["1"], "p0": ["2"], "p1": ["0", "1"]}
 HUGE = "9" * 5000  # past int <-> str's default cap of 4,300 digits
@@ -74,14 +81,14 @@ FAMILIES = st.one_of(NAMES, inline_json())
 
 @st.composite
 def specs(draw) -> str:
-    """An unpadded --families spec."""
+    """A --families spec: blanks may pad its names, but not the whole spec."""
     kind = draw(st.sampled_from(["builtin", "random", "names", "json", "empty"]))
     if kind == "builtin":
         return "builtin"
     if kind == "random":
         return "random:" + draw(st.sampled_from(["-1", "0", "1", "2", "", "x", " 1"]))
     if kind == "names":
-        return ",".join(draw(st.lists(NAMES, min_size=1, max_size=3)))
+        return ",".join(draw(st.lists(padded(NAMES), min_size=1, max_size=3)))
     if kind == "json":
         return draw(inline_json())
     return draw(st.sampled_from(["", ",", " , "]))
@@ -104,9 +111,9 @@ def argvs(draw) -> list[str]:
     if verb == "families":
         argv = ["families", *draw(st.sampled_from([[], ["--kind", "lucas"], ["--kind", "Lucas"]]))]
     elif verb == "term":
-        argv = ["term", draw(FAMILIES), draw(index(cli.MAX_TERM_INDEX))]
+        argv = ["term", draw(padded(FAMILIES)), draw(index(cli.MAX_TERM_INDEX))]
     elif verb == "gcd":
-        argv = ["gcd", draw(FAMILIES), draw(index(cli.MAX_TERM_INDEX)), draw(FAMILIES),
+        argv = ["gcd", draw(padded(FAMILIES)), draw(index(cli.MAX_TERM_INDEX)), draw(padded(FAMILIES)),
                 draw(index(cli.MAX_TERM_INDEX)), *draw(st.sampled_from([[], ["--check"]]))]
     elif verb == "verify":
         identity = draw(st.one_of(st.sampled_from([*IDENTITY_GROUPS, "all"]),
@@ -157,3 +164,32 @@ def test_a_padded_spec_prints_what_its_trimmed_spec_prints(identity, spec, left,
     argv = ["verify", "--identity", identity, "--max-index", str(k), *flags, "--families"]
     trimmed = spec.strip()
     assert run(argv + [left + trimmed + right]) == run(argv + [trimmed])
+
+
+@st.composite
+def family_argvs(draw) -> tuple[list[str], list[str]]:
+    """An argv of term, gcd or verify over a list of names, with its family
+    arguments trimmed, and the same argv with blanks drawn around each."""
+    verb = draw(st.sampled_from(["term", "gcd", "verify"]))
+    if verb == "verify":
+        names = draw(st.lists(NAMES, min_size=1, max_size=3))
+    else:
+        names = [draw(FAMILIES) for _ in range(2 if verb == "gcd" else 1)]
+    names = [name.strip() for name in names]  # a truncated inline JSON can end in a blank
+    pads = [(draw(PAD), draw(PAD)) for _ in names]
+
+    def argv(families: list[str]) -> list[str]:
+        if verb == "term":
+            return ["term", families[0], "3"]
+        if verb == "gcd":
+            return ["gcd", families[0], "3", families[1], "6", "--check"]
+        return ["verify", "--identity", "addition", "--max-index", "2", "--families", ",".join(families)]
+
+    return argv(names), argv([left + name + right for name, (left, right) in zip(names, pads)])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(argvs=family_argvs(), flags=JSON_FLAG)
+def test_a_padded_family_argument_acts_as_its_trimmed_form(argvs, flags):
+    trimmed, padded_argv = argvs
+    assert run(padded_argv + flags) == run(trimmed + flags)

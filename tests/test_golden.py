@@ -48,10 +48,10 @@ GOLDEN = [
      "fbec600d73f193102598138e4fd41f33cb4be510f8d8d00e790eb76977edffd4"),
     # 9.2 MB of JSON lines; only the digest is kept.
     (("verify", "--json"), 0, "0fdd8b082e5877a89b14dbee1aa9a48a965f73c4e49388b0291ddcafab10083c"),
-    # Reaches L[305], past the term cache's retained prefix, and pins every witness.
+    # A walk to L[305]; pins every witness.
     (("verify", "--identity", "dic2-decompose", "--families", "fibonacci", "--max-index", "17", "--json"), 0,
      "d249113a243cbb0af47c2ec78aab95dd793ec07613ae8b6169a2b146c492d6a8"),
-    # d = 3x + 4 and g = 4x: general coefficients in the row step, past the prefix up to L[271].
+    # d = 3x + 4 and g = 4x: general coefficients of d and g in the row step, on a walk to L[271].
     (("verify", "--identity", "dic2-decompose", "--families", "random:1", "--seed", "3", "--max-index", "16",
       "--json"), 0, "cfefbb6049d82dc71884ba51bea6b4089e0d6bafbaf311f63bd06912f8931c36"),
     # g = 2x with exponents up to g^275, past the retained prefix of the powers of g.

@@ -379,7 +379,7 @@ class TestDecomposeSweep:
     divides.  Every report must be the same, field for field."""
 
     def test_builtin_pairs_match_division_without_dividing(self):
-        # k = 17 reaches L[305], past the retained term prefix.
+        # k = 17 walks each row to L[305], past the RETAINED terms a cache keeps.
         assert 17 * 17 + 16 > families.RETAINED
         for fib_name, lucas_name in PAIRS:
             fib, lucas = builtin_pair(fib_name, lucas_name)

@@ -90,15 +90,17 @@ EQUIVALENT = {
     # sign is 1 or -1, and floor division by it is multiplication by it.
     ("identities", "kick = power * -(alpha * sign)", "Mult -> FloorDiv", 1),
     # An equal-length sum with its operands swapped, or a sign test that
-    # counts 0 on the other side: the leads and coefficients tested are
-    # never 0, and normalized's only lead of 0 is the zero polynomial's,
-    # whose negation is itself.
+    # counts 0 on the other side: the leads tested are never 0, and
+    # normalized's only lead of 0 is the zero polynomial's, whose negation
+    # is itself.
     ("polyring", "if len(a) < len(b):", "Lt -> LtE", 0),
     ("polyring", "if p.coeffs[-1] < 0:", "Lt -> LtE", 0),
     ("polyring", "if p.coeffs[-1] < 0:", "0 -> 1", 0),
     ("polyring", "if self.leading > 0:", "Gt -> GtE", 0),
-    ("polyring", 'parts.append(("-" if c < 0 else "+", body))', "Lt -> LtE", 0),
-    ("polyring", 'parts.append(("-" if c < 0 else "+", body))', "0 -> 1", 0),
+    # __str__ tests the sign inside `if c:`, where c is a nonzero integer,
+    # so c < 0, c <= 0 and c < 1 agree.
+    ("polyring", "if c < 0:", "Lt -> LtE", 0),
+    ("polyring", "if c < 0:", "0 -> 1", 0),
     # Longer buffers: the extra zeros at the top are trimmed by Poly.
     ("polyring", "out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)", "Sub -> Add", 0),
     ("polyring", "quo = [0] * (dn - dd + 1)", "Sub -> Add", 0),
